@@ -66,7 +66,6 @@ __all__ = [
     "ToolParameters",
     "TraceRecorder",
     "TransferGP",
-    "TransferKernel",
     "Tuner",
     "TuningResult",
     "TuningService",
@@ -103,7 +102,6 @@ _EXPORTS = {
     "TuningService": "service",
     "GPRegressor": "gp",
     "TransferGP": "gp",
-    "TransferKernel": "gp",
     "MetricsRegistry": "obs",
     "NullRecorder": "obs",
     "TraceRecorder": "obs",
@@ -143,7 +141,7 @@ if TYPE_CHECKING:  # pragma: no cover - static analysis only
         TuningResult,
         TuningSession,
     )
-    from .gp import GPRegressor, TransferGP, TransferKernel
+    from .gp import GPRegressor, TransferGP
     from .obs import (
         MetricsRegistry,
         NullRecorder,

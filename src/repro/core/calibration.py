@@ -74,9 +74,8 @@ class CalibrationEngine:
     """Per-iteration surrogate calibration with an incremental fast path.
 
     Example:
-        >>> engine = CalibrationEngine(models, cfg, multi=False,
-        ...                            sources=[], X_source=Xs,
-        ...                            Y_source=Ys)          # doctest: +SKIP
+        >>> engine = CalibrationEngine(models, cfg,
+        ...                            sources=[(Xs, Ys)])   # doctest: +SKIP
         >>> engine.register_pool(Xn_pool)                    # doctest: +SKIP
         >>> engine.calibrate(t, Xn_pool, sampled, y_obs, new) # doctest: +SKIP
         >>> mean, std = engine.predict(active_ids)            # doctest: +SKIP
@@ -86,10 +85,7 @@ class CalibrationEngine:
         self,
         models: list,
         config: PPATunerConfig,
-        multi: bool,
         sources: list[tuple[np.ndarray, np.ndarray]],
-        X_source: np.ndarray,
-        Y_source: np.ndarray,
         recorder=None,
     ) -> None:
         """Create the engine.
@@ -97,19 +93,14 @@ class CalibrationEngine:
         Args:
             models: One fitted-or-fresh GP model per QoR metric.
             config: Loop configuration (cadence and engine switches).
-            multi: Whether the models are multi-source transfer GPs.
-            sources: Normalized ``(X_k, Y_k)`` archives (multi mode).
-            X_source: Stacked normalized source features (two-task mode).
-            Y_source: Stacked source objectives (two-task mode).
+            sources: Normalized ``(X_k, Y_k)`` archives; every model
+                ``fit`` gets them per metric as ``sources=``.
             recorder: Optional :class:`~repro.obs.recorder.TraceRecorder`
                 fed one ``CalibrationDone`` per :meth:`calibrate` call.
         """
         self.models = models
         self.config = config
-        self.multi = multi
         self.sources = sources
-        self.X_source = X_source
-        self.Y_source = Y_source
         self.stats = CalibrationStats()
         self.recorder = recorder if recorder is not None else NULL_RECORDER
         self._fitted = False
@@ -173,24 +164,21 @@ class CalibrationEngine:
         if not self.config.shared_factor or len(self.models) < 2:
             return False
         sigs = [m.covariance_signature() for m in self.models]
-        return sigs[0] is not None and all(
-            s == sigs[0] for s in sigs[1:]
-        )
+        return all(s == sigs[0] for s in sigs[1:])
 
     def _stacked_y(
         self, j: int, y_obs: np.ndarray, sampled: np.ndarray
     ) -> np.ndarray:
         """The stacked sources-then-target y a metric-``j`` fit sees."""
-        if self.multi:
-            parts = [Ys[:, j] for _, Ys in self.sources if len(Ys)]
-        else:
-            parts = (
-                [self.Y_source[:, j]] if len(self.X_source) else []
-            )
+        parts = [Ys[:, j] for _, Ys in self.sources if len(Ys)]
         parts = parts + [y_obs[sampled, j]]
         return np.concatenate(
             [np.asarray(p, dtype=float).ravel() for p in parts]
         )
+
+    def _sources(self, j: int) -> list[tuple[np.ndarray, np.ndarray]]:
+        """The ``sources=`` argument of a metric-``j`` fit."""
+        return [(Xs, Ys[:, j]) for Xs, Ys in self.sources]
 
     def calibrate(
         self,
@@ -308,15 +296,9 @@ class CalibrationEngine:
         if shared:
             lead = self.models[0]
             lead.optimize = False
-            if self.multi:
-                src_0 = [(Xs, Ys[:, 0]) for Xs, Ys in self.sources]
-            else:
-                src_0 = (
-                    [(self.X_source, self.Y_source[:, 0])]
-                    if len(self.X_source) else []
-                )
             lead.fit(
-                sources=src_0, X_target=Xt, y_target=y_obs[sampled, 0],
+                sources=self._sources(0), X_target=Xt,
+                y_target=y_obs[sampled, 0],
             )
             self.stats.n_full_fits += 1
             for j, model in enumerate(self.models[1:], 1):
@@ -334,13 +316,7 @@ class CalibrationEngine:
                 # Both model kinds share the ``sources`` fit keyword;
                 # the two-task model stacks the pairs into one source
                 # task.
-                if self.multi:
-                    src_j = [(Xs, Ys[:, j]) for Xs, Ys in self.sources]
-                else:
-                    src_j = (
-                        [(self.X_source, self.Y_source[:, j])]
-                        if len(self.X_source) else []
-                    )
+                src_j = self._sources(j)
                 if partial:
                     mask = sampled & np.isfinite(y_obs[:, j])
                     model.fit(

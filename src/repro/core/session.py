@@ -151,8 +151,11 @@ class TuningSession:
             ``PPATuner.tune`` run.
 
     Raises:
-        ValueError: On shape mismatches or conflicting source
-            arguments (same contract as ``PPATuner.tune``).
+        ValueError: On shape mismatches (an archive whose knob count
+            differs from the pool's included), NaN or inf in the pool or
+            an archive, or conflicting source arguments (same contract
+            as ``PPATuner.tune``); the message names the argument, the
+            archive index and the shapes.
     """
 
     def __init__(
@@ -177,12 +180,18 @@ class TuningSession:
         m = int(n_objectives)
         self.n = n
         self.m = m
+        if not np.isfinite(self.X_pool).all():
+            raise ValueError(
+                f"X_pool {self.X_pool.shape} contains NaN or inf"
+            )
 
         if sources is not None and X_source is not None:
             raise ValueError(
                 "pass either X_source/Y_source or sources, not both"
             )
+        names = ("sources X", "sources Y")
         if sources is None:
+            names = ("X_source", "Y_source")
             sources = (
                 [(X_source, Y_source)]
                 if X_source is not None and Y_source is not None
@@ -190,15 +199,34 @@ class TuningSession:
             )
         source_list: list[tuple[np.ndarray, np.ndarray]] = []
         if cfg.transfer:
-            for Xs, Ys in sources:
+            for k, (Xs, Ys) in enumerate(sources):
                 Xs = np.atleast_2d(np.asarray(Xs, dtype=float))
                 Ys = np.atleast_2d(np.asarray(Ys, dtype=float))
                 if len(Xs) == 0:
                     continue
+                where = (
+                    f"{names[0]} {Xs.shape} / {names[1]} {Ys.shape} "
+                    f"(archive {k})"
+                )
                 if len(Xs) != len(Ys):
-                    raise ValueError("source X/Y misaligned")
+                    raise ValueError(f"source X/Y misaligned: {where}")
+                if Xs.shape[1] != self.X_pool.shape[1]:
+                    raise ValueError(
+                        f"source knob count differs from X_pool "
+                        f"{self.X_pool.shape}: {where}"
+                    )
                 if Ys.shape[1] != m:
-                    raise ValueError("source objectives mismatch oracle")
+                    raise ValueError(
+                        f"source objectives mismatch oracle ({m}): {where}"
+                    )
+                bad = [
+                    name for name, arr in zip(names, (Xs, Ys))
+                    if not np.isfinite(arr).all()
+                ]
+                if bad:
+                    raise ValueError(
+                        f"NaN or inf in {' and '.join(bad)}: {where}"
+                    )
                 source_list.append((Xs, Ys))
         self.source_list = source_list
         self._prepare_normalization()
@@ -267,20 +295,9 @@ class TuningSession:
 
     def _prepare_normalization(self) -> None:
         """Joint unit-cube normalization of pool + source features."""
-        use_source = bool(self.source_list)
-        X_source = (
-            np.vstack([Xs for Xs, _ in self.source_list])
-            if use_source else np.empty((0, self.X_pool.shape[1]))
-        )
-        Y_source = (
-            np.vstack([Ys for _, Ys in self.source_list])
-            if use_source else np.empty((0, self.m))
-        )
-        stacked = np.vstack([self.X_pool, X_source])
+        stacked = np.vstack([self.X_pool] + [Xs for Xs, _ in self.source_list])
         lo, hi = stacked.min(axis=0), stacked.max(axis=0)
         span = np.where(hi > lo, hi - lo, 1.0)
-        self.use_source = use_source
-        self.Y_source = Y_source
         # Refined candidates are clipped into [lo, hi], so the joint
         # normalization is invariant under pool growth — a restored
         # grown pool reproduces these exact constants.
@@ -291,16 +308,12 @@ class TuningSession:
         self._Xn_sources = [
             ((Xs - lo) / span, Ys) for Xs, Ys in self.source_list
         ]
-        self._Xn_source = (
-            (X_source - lo) / span if len(X_source) else X_source
-        )
-        self.multi = len(self._Xn_sources) > 1
 
     def _build_models(self) -> None:
         """One fresh surrogate per metric (deterministic seeds)."""
         cfg = self.config
         d = self.X_pool.shape[1]
-        if self.multi:
+        if len(self._Xn_sources) > 1:
             self.models = [
                 MultiSourceTransferGP(
                     kernel=make_kernel(cfg.kernel, d, 0.3, 1.0),
@@ -327,9 +340,8 @@ class TuningSession:
 
     def _build_engine(self, recorder, n_pool: int | None = None) -> None:
         self.engine = CalibrationEngine(
-            self.models, self.config, multi=self.multi,
-            sources=self._Xn_sources, X_source=self._Xn_source,
-            Y_source=self.Y_source, recorder=recorder,
+            self.models, self.config, sources=self._Xn_sources,
+            recorder=recorder,
         )
         pool = (
             self._Xn_pool if n_pool is None else self._Xn_pool[:n_pool]
@@ -587,9 +599,8 @@ class TuningSession:
         cfg = self.config
         m = self.m
         # Absolute δ from the observed objective ranges (Eq. (11)/(12)).
-        seen = (
-            np.vstack([self.Y_source, self.y_obs[self.sampled]])
-            if self.use_source else self.y_obs[self.sampled]
+        seen = np.vstack(
+            [Ys for _, Ys in self.source_list] + [self.y_obs[self.sampled]]
         )
         if seen.size == 0:
             obj_range = np.ones(m)

@@ -1,7 +1,9 @@
 """Gaussian-process substrate (from scratch on numpy/scipy).
 
-Standard GP regression (paper Eq. (1)), the transfer kernel (Eq. (5)-(7)),
-and the two-task transfer GP (Eq. (8)).
+One task-structured GP (:mod:`repro.gp.task_gp`) with three
+constructors: standard GP regression (paper Eq. (1)), the two-task
+transfer GP with the Eq. (5)-(7) transfer kernel (Eq. (8)), and its
+K-source extension.
 """
 
 from .gp_regression import GPRegressor
@@ -11,19 +13,14 @@ from .likelihood import gaussian_log_marginal, maximize_objective
 from .multisource import MultiSourceTransferGP
 from .linalg import (
     NotPositiveDefiniteError,
-    blocked_triangular_solve,
     cholesky_append_row,
     cholesky_append_rows,
-    cholesky_rank1_downdate,
-    cholesky_rank1_update,
     cholesky_solve,
-    factor_once_solve_many,
     log_det_from_cholesky,
     robust_cholesky,
-    solve_psd,
 )
+from .task_gp import transfer_factor
 from .transfer_gp import SOURCE_TASK, TARGET_TASK, TransferGP
-from .transfer_kernel import TransferKernel, transfer_factor
 
 __all__ = [
     "SOURCE_TASK",
@@ -36,20 +33,14 @@ __all__ = [
     "NotPositiveDefiniteError",
     "RBFKernel",
     "TransferGP",
-    "TransferKernel",
-    "blocked_triangular_solve",
     "cholesky_append_row",
     "cholesky_append_rows",
-    "cholesky_rank1_downdate",
-    "cholesky_rank1_update",
     "cholesky_solve",
-    "factor_once_solve_many",
     "gaussian_log_marginal",
     "log_det_from_cholesky",
     "make_kernel",
     "maximize_objective",
     "predict_pool_multi",
     "robust_cholesky",
-    "solve_psd",
     "transfer_factor",
 ]

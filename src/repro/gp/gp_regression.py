@@ -2,24 +2,20 @@
 
 Implements paper Eq. (1): posterior mean and variance under a Gaussian
 noise model, with hyperparameters fitted by maximizing the log marginal
-likelihood.  Targets are standardized internally, inputs are expected
-pre-normalized (the tuners normalize to the unit cube).
+likelihood — the zero-source case of the task-structured GP in
+:mod:`repro.gp.task_gp`.  Targets are standardized internally, inputs
+are expected pre-normalized (the tuners normalize to the unit cube).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .incremental import IncrementalGPMixin
-from .kernels import Kernel, RBFKernel
-from .likelihood import gaussian_log_marginal, maximize_objective
-from .linalg import cholesky_solve, robust_cholesky
-
-#: Log-space bounds for the observation-noise variance.
-_NOISE_BOUNDS = (-12.0, 2.0)
+from .kernels import Kernel
+from .task_gp import _TaskGP
 
 
-class GPRegressor(IncrementalGPMixin):
+class GPRegressor(_TaskGP):
     """Exact GP regression with marginal-likelihood hyperparameter fit.
 
     Example:
@@ -47,29 +43,16 @@ class GPRegressor(IncrementalGPMixin):
             n_restarts: Optimizer restarts.
             seed: Seed for the restarts.
         """
-        if noise_variance <= 0:
-            raise ValueError("noise_variance must be positive")
-        self.kernel = kernel
-        self._log_noise = float(np.log(noise_variance))
-        self.optimize = optimize
-        self.n_restarts = n_restarts
-        self.seed = seed
-        self._X: np.ndarray | None = None
-        self._alpha: np.ndarray | None = None
-        self._L: np.ndarray | None = None
-        self._y_mean = 0.0
-        self._y_std = 1.0
-        self._opt_theta: np.ndarray | None = None
+        super().__init__(
+            kernel, 1.0, 1.0, noise_variance, noise_variance,
+            n_sources=0, optimize=optimize, n_restarts=n_restarts,
+            seed=seed,
+        )
 
     @property
     def noise_variance(self) -> float:
         """Observation-noise variance (standardized scale)."""
-        return float(np.exp(self._log_noise))
-
-    @property
-    def is_fitted(self) -> bool:
-        """Whether :meth:`fit` has been called."""
-        return self._alpha is not None
+        return self._predict_noise()
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "GPRegressor":
         """Fit hyperparameters (optionally) and the posterior state.
@@ -84,158 +67,4 @@ class GPRegressor(IncrementalGPMixin):
         Raises:
             ValueError: On shape mismatch or empty data.
         """
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        y = np.asarray(y, dtype=float).ravel()
-        if len(X) != len(y) or len(y) == 0:
-            raise ValueError("X and y must be non-empty and aligned")
-        if self.kernel is None:
-            self.kernel = RBFKernel(np.full(X.shape[1], 0.3))
-
-        self._y_mean = float(y.mean())
-        self._y_std = float(y.std()) or 1.0
-        z = (y - self._y_mean) / self._y_std
-
-        if self.optimize and len(X) >= 3:
-            self._optimize_hyperparameters(X, z)
-
-        K = self.kernel.eval(X) + self.noise_variance * np.eye(len(X))
-        self._L, self._jitter = robust_cholesky(K)
-        self._alpha = cholesky_solve(self._L, z)
-        self._X = X
-        self._y_raw = y.copy()
-        self._invalidate_pool_cache()
-        return self
-
-    # ---- incremental hooks (see IncrementalGPMixin) -------------------
-
-    def _cross_cov(
-        self, X_query: np.ndarray, rows: slice | None = None
-    ) -> np.ndarray:
-        assert self.kernel is not None and self._X is not None
-        X2 = self._X if rows is None else self._X[rows]
-        return self.kernel.eval(np.atleast_2d(X_query), X2)
-
-    def _cov_new_block(self, X_new: np.ndarray) -> np.ndarray:
-        assert self.kernel is not None
-        return self.kernel.eval(X_new) + self.noise_variance * np.eye(
-            len(X_new)
-        )
-
-    def _cov_full(self) -> np.ndarray:
-        assert self.kernel is not None and self._X is not None
-        return self.kernel.eval(self._X) + self.noise_variance * np.eye(
-            len(self._X)
-        )
-
-    def _prior_diag(self, X_query: np.ndarray) -> np.ndarray:
-        assert self.kernel is not None
-        return self.kernel.diag(X_query)
-
-    def _predict_noise(self) -> float:
-        return self.noise_variance
-
-    def _append_data(self, X_new: np.ndarray, y_new: np.ndarray) -> None:
-        assert self._X is not None and self._y_raw is not None
-        self._X = np.vstack([self._X, X_new])
-        self._y_raw = np.concatenate([self._y_raw, y_new])
-
-    def _cov_params(self) -> tuple:
-        kernel_sig = (
-            None if self.kernel is None
-            else (
-                type(self.kernel).__name__,
-                tuple(
-                    float(v)
-                    for v in np.asarray(self.kernel.theta).ravel()
-                ),
-            )
-        )
-        return (kernel_sig, float(self._log_noise))
-
-    def _adopt_structure(self, lead: "GPRegressor") -> None:
-        assert lead._X is not None
-        if self.kernel is None:
-            self.kernel = RBFKernel(np.full(lead._X.shape[1], 0.3))
-        self._X = lead._X
-
-    def _optimize_hyperparameters(self, X: np.ndarray, z: np.ndarray) -> None:
-        kernel = self.kernel
-        assert kernel is not None
-        n = len(X)
-
-        def objective(theta: np.ndarray) -> tuple[float, np.ndarray]:
-            kernel.theta = theta[:-1]
-            noise = float(np.exp(theta[-1]))
-            K, grads = kernel.eval_with_grads(X)
-            K = K + noise * np.eye(n)
-            grads = grads + [noise * np.eye(n)]  # d/dlog noise
-            lml, g, _ = gaussian_log_marginal(K, z, grads)
-            assert g is not None
-            return -lml, -g
-
-        # Warm-start refits from the previously found optimum; the live
-        # kernel theta may have been perturbed between fits (objective
-        # evaluations mutate it in place).
-        theta0 = np.append(kernel.theta, self._log_noise)
-        if (
-            self._opt_theta is not None
-            and len(self._opt_theta) == len(theta0)
-        ):
-            theta0 = self._opt_theta
-        bounds = kernel.bounds() + [_NOISE_BOUNDS]
-        best = maximize_objective(
-            objective, theta0, bounds,
-            n_restarts=self.n_restarts, seed=self.seed,
-        )
-        kernel.theta = best[:-1]
-        self._log_noise = float(best[-1])
-        self._opt_theta = np.asarray(best, dtype=float).copy()
-
-    def predict(
-        self, X_new: np.ndarray, include_noise: bool = False
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Posterior mean and variance at ``X_new`` (paper Eq. (1)).
-
-        Args:
-            X_new: ``(m, d)`` query inputs.
-            include_noise: Add the observation-noise variance to the
-                predictive variance.
-
-        Returns:
-            ``(mean, variance)`` arrays of length ``m`` in the original
-            target scale.
-
-        Raises:
-            RuntimeError: If called before :meth:`fit`.
-        """
-        if not self.is_fitted:
-            raise RuntimeError("predict() before fit()")
-        assert self._X is not None and self.kernel is not None
-        assert self._L is not None and self._alpha is not None
-        X_new = np.atleast_2d(np.asarray(X_new, dtype=float))
-        K_star = self.kernel.eval(X_new, self._X)
-        mean_z = K_star @ self._alpha
-        v = np.linalg.solve(self._L, K_star.T)
-        var_z = self.kernel.diag(X_new) - np.sum(v * v, axis=0)
-        var_z = np.maximum(var_z, 1e-12)
-        if include_noise:
-            var_z = var_z + self.noise_variance
-        mean = mean_z * self._y_std + self._y_mean
-        var = var_z * self._y_std**2
-        return mean, var
-
-    def log_marginal_likelihood(self) -> float:
-        """LML of the fitted model on its training data."""
-        if not self.is_fitted:
-            raise RuntimeError("log_marginal_likelihood() before fit()")
-        assert self._L is not None and self._alpha is not None
-        z_alpha = self._alpha
-        L = self._L
-        n = len(z_alpha)
-        # Recover z from alpha: z = K alpha = L L^T alpha.
-        z = L @ (L.T @ z_alpha)
-        return float(
-            -0.5 * z @ z_alpha
-            - np.sum(np.log(np.diag(L)))
-            - 0.5 * n * np.log(2 * np.pi)
-        )
+        return self._fit([], X, y)

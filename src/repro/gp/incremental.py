@@ -25,9 +25,12 @@ the model transparently falls back to an exact jittered refactorization
 hyperparameter refits rebuild everything from scratch anyway, error from
 long append chains cannot accumulate past one re-optimization cadence.
 
-Subclasses must maintain ``_X``, ``_L``, ``_alpha``, ``_y_mean``,
-``_y_std`` (the existing fit state) plus ``_y_raw`` and ``_jitter``, and
-implement the small covariance hooks below.
+The mixin's one user, :class:`~repro.gp.task_gp._TaskGP`, maintains
+``_X``, ``_L``, ``_alpha``, ``_y_mean``, ``_y_std`` (the fit state) plus
+``_y_raw`` and ``_jitter``, and implements the covariance hooks
+(``_cross_cov``, ``_cov_new_block``, ``_cov_full``, ``_prior_diag``,
+``_predict_noise``, ``_append_data``, ``_cov_params``,
+``_adopt_structure``).
 """
 
 from __future__ import annotations
@@ -58,57 +61,17 @@ class IncrementalGPMixin:
     #: from-scratch refactorization (jitter escalation).
     last_update_fallback: bool = False
 
-    # ---- hooks implemented by each model -----------------------------
-
-    def _cross_cov(
-        self, X_query: np.ndarray, rows: slice | None = None
-    ) -> np.ndarray:
-        """Covariance of target-task queries vs training ``rows``."""
-        raise NotImplementedError
-
-    def _cov_new_block(self, X_new: np.ndarray) -> np.ndarray:
-        """Covariance among new target rows, noise included."""
-        raise NotImplementedError
-
-    def _cov_full(self) -> np.ndarray:
-        """Full training covariance (noise included), for refits."""
-        raise NotImplementedError
-
-    def _prior_diag(self, X_query: np.ndarray) -> np.ndarray:
-        """Prior variance at target-task queries."""
-        raise NotImplementedError
-
-    def _predict_noise(self) -> float:
-        """Target-task observation-noise variance."""
-        raise NotImplementedError
-
-    def _append_data(self, X_new: np.ndarray, y_new: np.ndarray) -> None:
-        """Append new target rows to the stored training data."""
-        raise NotImplementedError
-
-    def _cov_params(self) -> tuple:
-        """Hashable digest of every covariance-defining hyperparameter."""
-        raise NotImplementedError
-
-    def _adopt_structure(self, lead: "IncrementalGPMixin") -> None:
-        """Adopt a lead model's training-data structure (X, tasks, ...)."""
-        raise NotImplementedError
-
     # ---- shared-factor support ---------------------------------------
 
-    def covariance_signature(self) -> tuple | None:
+    def covariance_signature(self) -> tuple:
         """Signature deciding whether two models share one covariance.
 
         Two models of the same class with equal signatures fitted on the
         same training inputs build the *same* ``K`` matrix — one
         Cholesky factorization serves both, only the per-model RHS
-        solves (``alpha``) differ.  Returns ``None`` when the model
-        cannot state its covariance (sharing is then disabled).
+        solves (``alpha``) differ.
         """
-        try:
-            return (type(self).__name__, self._cov_params())
-        except NotImplementedError:
-            return None
+        return (type(self).__name__, self._cov_params())
 
     def adopt_fit(
         self, lead: "IncrementalGPMixin", y: np.ndarray

@@ -71,78 +71,6 @@ def log_det_from_cholesky(L: np.ndarray) -> float:
     return float(2.0 * np.sum(np.log(np.diag(L))))
 
 
-def solve_psd(matrix: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve a PSD system with jitter fallback (convenience wrapper)."""
-    L, _ = robust_cholesky(matrix)
-    return cholesky_solve(L, b)
-
-
-def factor_once_solve_many(
-    matrix: np.ndarray,
-    rhs_columns: list[np.ndarray] | np.ndarray,
-    jitter: float = DEFAULT_JITTER,
-) -> tuple[np.ndarray, float, list[np.ndarray]]:
-    """Factor one covariance and solve several right-hand sides.
-
-    The per-metric GPs of the tuning loop share the training inputs and
-    (until re-optimization diverges them) the covariance hyperparameters,
-    so their ``K`` matrices are identical — factor once, solve one RHS
-    per metric.  Each column is solved independently so every solution
-    is bit-identical to what a per-model ``robust_cholesky`` +
-    ``cholesky_solve`` would produce.
-
-    Args:
-        matrix: Shared ``(n, n)`` covariance (noise included).
-        rhs_columns: The per-model right-hand sides (each length ``n``).
-        jitter: Starting jitter for :func:`robust_cholesky`.
-
-    Returns:
-        ``(L, used_jitter, solutions)`` with one solution per RHS.
-    """
-    L, used = robust_cholesky(matrix, jitter)
-    solutions = [cholesky_solve(L, np.asarray(b)) for b in rhs_columns]
-    return L, used, solutions
-
-
-def blocked_triangular_solve(
-    L: np.ndarray,
-    B: np.ndarray,
-    block: int = 0,
-    out_dtype: np.dtype | type | None = None,
-) -> np.ndarray:
-    """Solve ``L V = B`` processing the RHS in column blocks.
-
-    Column blocks keep the working set cache-sized for very wide RHS
-    matrices (pool whitening with 10^5-10^6 candidates) and allow the
-    result to be stored in a narrower dtype while every solve still runs
-    in float64.  With ``block=0`` (or a RHS no wider than ``block``) the
-    single-shot :func:`scipy.linalg.solve_triangular` path is used
-    unchanged.
-
-    Args:
-        L: ``(n, n)`` lower-triangular factor.
-        B: ``(n, p)`` right-hand side.
-        block: Column-chunk width; ``0`` disables blocking.
-        out_dtype: Optional output dtype (e.g. ``np.float32``); solves
-            stay float64 and only the stored result is cast.
-
-    Returns:
-        The ``(n, p)`` solution, in ``out_dtype`` when given.
-    """
-    B = np.asarray(B)
-    p = B.shape[1] if B.ndim == 2 else 0
-    if not block or p <= block:
-        V = solve_triangular(L, B, lower=True)
-        return V.astype(out_dtype, copy=False) if out_dtype else V
-    out = np.empty(B.shape, dtype=out_dtype or B.dtype)
-    for start in range(0, p, block):
-        stop = min(start + block, p)
-        out[:, start:stop] = solve_triangular(
-            L, B[:, start:stop], lower=True
-        )
-    return out
-
-
 def cholesky_append_rows(
     L: np.ndarray, K_cross: np.ndarray, K_new: np.ndarray
 ) -> np.ndarray:
@@ -223,83 +151,14 @@ def cholesky_append_row(
     return cholesky_append_rows(L, k_cross, np.array([[float(k_new)]]))
 
 
-def cholesky_rank1_update(L: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Factor of ``L @ L.T + v v^T`` in O(n^2) (hyperbolic rotations).
-
-    Args:
-        L: ``(n, n)`` lower factor.
-        v: Length-``n`` update vector.
-
-    Returns:
-        A new lower factor (inputs are not mutated).
-    """
-    L = np.array(L, dtype=float)
-    v = np.array(v, dtype=float).ravel()
-    n = len(v)
-    if L.shape != (n, n):
-        raise ValueError("L and v size mismatch")
-    for i in range(n):
-        r = float(np.hypot(L[i, i], v[i]))
-        c = r / L[i, i]
-        s = v[i] / L[i, i]
-        L[i, i] = r
-        if i + 1 < n:
-            L[i + 1:, i] = (L[i + 1:, i] + s * v[i + 1:]) / c
-            v[i + 1:] = c * v[i + 1:] - s * L[i + 1:, i]
-    return L
-
-
-def cholesky_rank1_downdate(L: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Factor of ``L @ L.T - v v^T`` in O(n^2) (low-rank downdate).
-
-    Used to retract an observation's contribution without refactorizing
-    (e.g. outlier rejection or sliding-window forgetting).
-
-    Args:
-        L: ``(n, n)`` lower factor.
-        v: Length-``n`` downdate vector.
-
-    Returns:
-        A new lower factor (inputs are not mutated).
-
-    Raises:
-        NotPositiveDefiniteError: If the downdated matrix is not
-            positive definite.
-    """
-    L = np.array(L, dtype=float)
-    v = np.array(v, dtype=float).ravel()
-    n = len(v)
-    if L.shape != (n, n):
-        raise ValueError("L and v size mismatch")
-    for i in range(n):
-        r2 = L[i, i] ** 2 - v[i] ** 2
-        if r2 <= 0.0:
-            raise NotPositiveDefiniteError(
-                "rank-1 downdate makes the matrix indefinite"
-            )
-        r = float(np.sqrt(r2))
-        c = r / L[i, i]
-        s = v[i] / L[i, i]
-        L[i, i] = r
-        if i + 1 < n:
-            L[i + 1:, i] = (L[i + 1:, i] - s * v[i + 1:]) / c
-            v[i + 1:] = c * v[i + 1:] - s * L[i + 1:, i]
-    return L
-
-
 __all__ = [
     "DEFAULT_JITTER",
     "NotPositiveDefiniteError",
-    "blocked_triangular_solve",
     "cho_factor",
     "cholesky_append_row",
     "cholesky_append_rows",
-    "cholesky_rank1_downdate",
-    "cholesky_rank1_update",
     "cholesky_solve",
-    "factor_once_solve_many",
     "log_det_from_cholesky",
     "robust_cholesky",
-    "solve_psd",
     "triangular_solve",
 ]

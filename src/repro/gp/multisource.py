@@ -1,37 +1,24 @@
 """Multi-source transfer GP — an extension beyond the paper's two tasks.
 
 The paper transfers from *one* historical tuning task; real tuning
-archives hold many.  This module generalizes the Eq. (7) transfer kernel
-to K source tasks with a rank-1-plus-diagonal task-correlation matrix:
-
-    B[i, j] = c_i * c_j   (i != j),     B[i, i] = 1
-
-with ``c_target = 1`` and ``c_s = lambda_s = 2 (1 + a_s)^-b_s - 1`` per
-source — so each target-source correlation reproduces the paper's
-two-task factor, source-source correlations follow as products, and
-``B = diag(1 - c^2) + c c^T`` is positive semi-definite by construction
-(hence the Schur product with the base kernel stays a valid covariance).
-
-Each task also carries its own noise variance (the paper's
-``beta_s/beta_t`` generalized).  All hyperparameters are fitted by joint
-marginal likelihood with analytic gradients.
+archives hold many.  This model gives each non-empty archive its own
+source task in the task-structured GP of :mod:`repro.gp.task_gp`: a
+rank-1-plus-diagonal task-correlation matrix with
+``c_target = 1`` and ``c_s = lambda_s = 2 (1 + a_s)^-b_s - 1`` per
+source, so each target-source correlation reproduces the paper's
+two-task factor and source-source correlations follow as products.
+Each task carries its own noise variance.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .incremental import IncrementalGPMixin
-from .kernels import Kernel, RBFKernel
-from .likelihood import gaussian_log_marginal, maximize_objective
-from .linalg import cholesky_solve, robust_cholesky
-
-#: Log-space bounds for Gamma parameters and noise variances.
-_GAMMA_BOUNDS = (-5.0, 4.0)
-_NOISE_BOUNDS = (-12.0, 2.0)
+from .kernels import Kernel
+from .task_gp import _TaskGP
 
 
-class MultiSourceTransferGP(IncrementalGPMixin):
+class MultiSourceTransferGP(_TaskGP):
     """Transfer GP over K source tasks and one target task.
 
     Example:
@@ -61,361 +48,33 @@ class MultiSourceTransferGP(IncrementalGPMixin):
             n_restarts: Optimizer restarts.
             seed: Seed for restarts.
         """
-        if a <= 0 or b <= 0 or noise <= 0:
-            raise ValueError("a, b and noise must be positive")
-        self._kernel = kernel
-        self._init = (float(np.log(a)), float(np.log(b)),
-                      float(np.log(noise)))
-        self.optimize = optimize
-        self.n_restarts = n_restarts
-        self.seed = seed
-        self._n_sources = 0
-        self._log_a: np.ndarray | None = None
-        self._log_b: np.ndarray | None = None
-        self._log_noise: np.ndarray | None = None  # per task, target last
-        self._X: np.ndarray | None = None
-        self._tasks: np.ndarray | None = None
-        self._L: np.ndarray | None = None
-        self._alpha: np.ndarray | None = None
-        self._y_mean = 0.0
-        self._y_std = 1.0
-        self._opt_theta: np.ndarray | None = None
-
-    # ---- task-correlation helpers -------------------------------------
-
-    def _lambdas(self) -> np.ndarray:
-        """Per-source correlation coefficients ``c_s`` in (-1, 1]."""
-        assert self._log_a is not None and self._log_b is not None
-        a = np.exp(self._log_a)
-        b = np.exp(self._log_b)
-        return 2.0 * (1.0 + a) ** (-b) - 1.0
-
-    @property
-    def lambdas(self) -> np.ndarray:
-        """Learned target-source correlation per source task."""
-        if self._log_a is None:
-            raise RuntimeError("model not fitted")
-        return self._lambdas()
-
-    def _coeffs(self) -> np.ndarray:
-        """Per-task coefficients ``c`` with the target pinned at 1."""
-        return np.append(self._lambdas(), 1.0)
-
-    def _task_matrix(self, coeffs: np.ndarray) -> np.ndarray:
-        """The PSD task-correlation matrix B."""
-        B = np.outer(coeffs, coeffs)
-        np.fill_diagonal(B, 1.0)
-        return B
-
-    # ---- fitting -------------------------------------------------------
+        super().__init__(
+            kernel, a, b, noise, noise,
+            n_sources=0, optimize=optimize, n_restarts=n_restarts,
+            seed=seed,
+        )
 
     def fit(
         self,
         sources: list[tuple[np.ndarray, np.ndarray]] | None = None,
         X_target: np.ndarray | None = None,
         y_target: np.ndarray | None = None,
-        *,
-        Xs: list[tuple[np.ndarray, np.ndarray]] | None = None,
     ) -> "MultiSourceTransferGP":
         """Fit on K source datasets plus the target data.
 
         Args:
-            sources: List of ``(X_s, y_s)`` pairs (may be empty) — the
-                keyword shared with :class:`~repro.gp.transfer_gp.TransferGP`.
+            sources: List of ``(X_s, y_s)`` pairs (may be empty; empty
+                pairs are dropped) — the keyword shared with
+                :class:`~repro.gp.transfer_gp.TransferGP`.
             X_target: ``(M, d)`` target inputs.
             y_target: Length-``M`` target values.
-            Xs: Deprecated alias for ``sources``.
 
         Returns:
             ``self``.
 
         Raises:
-            ValueError: On shape problems, empty target data, or
-                conflicting source arguments.
+            ValueError: On shape problems or empty target data.
         """
-        if Xs is not None:
-            import warnings
-
-            warnings.warn(
-                "the Xs keyword of MultiSourceTransferGP.fit is "
-                "deprecated; pass sources=[(X, y), ...]",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if sources is not None:
-                raise ValueError("pass either sources or Xs, not both")
-            sources = Xs
-        if sources is None:
-            sources = []
         if X_target is None or y_target is None:
             raise ValueError("X_target and y_target are required")
-        Xt = np.atleast_2d(np.asarray(X_target, dtype=float))
-        yt = np.asarray(y_target, dtype=float).ravel()
-        if len(Xt) != len(yt) or len(yt) == 0:
-            raise ValueError("target X/y misaligned or empty")
-        cleaned: list[tuple[np.ndarray, np.ndarray]] = []
-        for Xs, ys in sources:
-            Xs = np.atleast_2d(np.asarray(Xs, dtype=float))
-            ys = np.asarray(ys, dtype=float).ravel()
-            if len(Xs) != len(ys):
-                raise ValueError("source X/y misaligned")
-            if Xs.size and Xs.shape[1] != Xt.shape[1]:
-                raise ValueError("source dimensionality mismatch")
-            if len(ys):
-                cleaned.append((Xs, ys))
-        self._n_sources = len(cleaned)
-
-        X = np.vstack([Xs for Xs, _ in cleaned] + [Xt])
-        y = np.concatenate([ys for _, ys in cleaned] + [yt])
-        tasks = np.concatenate([
-            np.full(len(ys), k, dtype=int)
-            for k, (_, ys) in enumerate(cleaned)
-        ] + [np.full(len(yt), self._n_sources, dtype=int)])
-
-        if self._kernel is None:
-            self._kernel = RBFKernel(np.full(X.shape[1], 0.3))
-        # Initialize hyperparameters once (or when the archive count
-        # changes); refits without optimization must keep learned values.
-        if (
-            self._log_a is None
-            or len(self._log_a) != self._n_sources
-        ):
-            log_a0, log_b0, log_n0 = self._init
-            self._log_a = np.full(self._n_sources, log_a0)
-            self._log_b = np.full(self._n_sources, log_b0)
-            self._log_noise = np.full(self._n_sources + 1, log_n0)
-
-        self._y_mean = float(y.mean())
-        self._y_std = float(y.std()) or 1.0
-        z = (y - self._y_mean) / self._y_std
-
-        if self.optimize and len(X) >= 3:
-            self._optimize_hyperparameters(X, tasks, z)
-
-        K = self._full_kernel(X, tasks) + np.diag(
-            np.exp(self._log_noise)[tasks]
-        )
-        self._L, self._jitter = robust_cholesky(K)
-        self._alpha = cholesky_solve(self._L, z)
-        self._X = X
-        self._tasks = tasks
-        self._y_raw = y.copy()
-        self._invalidate_pool_cache()
-        return self
-
-    # ---- incremental hooks (see IncrementalGPMixin) -------------------
-
-    def _cross_cov(
-        self, X_query: np.ndarray, rows: slice | None = None
-    ) -> np.ndarray:
-        assert self._kernel is not None
-        assert self._X is not None and self._tasks is not None
-        X_query = np.atleast_2d(X_query)
-        X2 = self._X if rows is None else self._X[rows]
-        tasks2 = self._tasks if rows is None else self._tasks[rows]
-        coeffs = self._coeffs()
-        factors = coeffs[tasks2] * coeffs[-1]
-        factors = np.where(tasks2 == self._n_sources, 1.0, factors)
-        return self._kernel.eval(X_query, X2) * factors[None, :]
-
-    def _cov_new_block(self, X_new: np.ndarray) -> np.ndarray:
-        assert self._kernel is not None and self._log_noise is not None
-        return self._kernel.eval(X_new) + float(
-            np.exp(self._log_noise[-1])
-        ) * np.eye(len(X_new))
-
-    def _cov_full(self) -> np.ndarray:
-        assert self._X is not None and self._tasks is not None
-        assert self._log_noise is not None
-        return self._full_kernel(self._X, self._tasks) + np.diag(
-            np.exp(self._log_noise)[self._tasks]
-        )
-
-    def _prior_diag(self, X_query: np.ndarray) -> np.ndarray:
-        assert self._kernel is not None
-        return self._kernel.diag(np.atleast_2d(X_query))
-
-    def _predict_noise(self) -> float:
-        assert self._log_noise is not None
-        return float(np.exp(self._log_noise[-1]))
-
-    def _append_data(self, X_new: np.ndarray, y_new: np.ndarray) -> None:
-        assert self._X is not None and self._tasks is not None
-        assert self._y_raw is not None
-        self._X = np.vstack([self._X, X_new])
-        self._tasks = np.concatenate([
-            self._tasks,
-            np.full(len(y_new), self._n_sources, dtype=int),
-        ])
-        self._y_raw = np.concatenate([self._y_raw, y_new])
-
-    def _cov_params(self) -> tuple:
-        kernel_sig = (
-            None if self._kernel is None
-            else (
-                type(self._kernel).__name__,
-                tuple(
-                    float(v)
-                    for v in np.asarray(self._kernel.theta).ravel()
-                ),
-            )
-        )
-        if self._log_a is None:
-            transfer_sig = ("init",) + self._init
-        else:
-            assert self._log_b is not None and self._log_noise is not None
-            transfer_sig = (
-                tuple(float(v) for v in self._log_a),
-                tuple(float(v) for v in self._log_b),
-                tuple(float(v) for v in self._log_noise),
-            )
-        return (kernel_sig, transfer_sig)
-
-    def _adopt_structure(self, lead: "MultiSourceTransferGP") -> None:
-        assert lead._X is not None
-        if self._kernel is None:
-            self._kernel = RBFKernel(np.full(lead._X.shape[1], 0.3))
-        self._n_sources = lead._n_sources
-        if (
-            self._log_a is None
-            or len(self._log_a) != self._n_sources
-        ):
-            log_a0, log_b0, log_n0 = self._init
-            self._log_a = np.full(self._n_sources, log_a0)
-            self._log_b = np.full(self._n_sources, log_b0)
-            self._log_noise = np.full(self._n_sources + 1, log_n0)
-        self._X = lead._X
-        self._tasks = lead._tasks
-
-    def _full_kernel(self, X: np.ndarray, tasks: np.ndarray) -> np.ndarray:
-        assert self._kernel is not None
-        B = self._task_matrix(self._coeffs())
-        return self._kernel.eval(X) * B[np.ix_(tasks, tasks)]
-
-    def _optimize_hyperparameters(
-        self, X: np.ndarray, tasks: np.ndarray, z: np.ndarray
-    ) -> None:
-        kernel = self._kernel
-        assert kernel is not None
-        n_src = self._n_sources
-        n_kernel = kernel.n_params
-        task_masks = [tasks == k for k in range(n_src + 1)]
-
-        def unpack(theta):
-            kernel.theta = theta[:n_kernel]
-            log_a = theta[n_kernel:n_kernel + n_src]
-            log_b = theta[n_kernel + n_src:n_kernel + 2 * n_src]
-            log_noise = theta[n_kernel + 2 * n_src:]
-            return log_a, log_b, log_noise
-
-        def objective(theta: np.ndarray) -> tuple[float, np.ndarray]:
-            log_a, log_b, log_noise = unpack(theta)
-            self._log_a, self._log_b = log_a, log_b
-            a = np.exp(log_a)
-            b = np.exp(log_b)
-            coeffs = self._coeffs()
-            B = self._task_matrix(coeffs)
-            K_base, base_grads = kernel.eval_with_grads(X)
-            B_exp = B[np.ix_(tasks, tasks)]
-            K = K_base * B_exp
-            noise = np.exp(log_noise)[tasks]
-            K = K + np.diag(noise)
-
-            grads: list[np.ndarray] = [g * B_exp for g in base_grads]
-            # d lambda_s / d log a_s and / d log b_s (see transfer_kernel).
-            dlam_da = -2.0 * b * a * (1.0 + a) ** (-b - 1.0)
-            dlam_db = -2.0 * b * np.log1p(a) * (1.0 + a) ** (-b)
-            for s in range(n_src):
-                # dB/dc_s: row/col s become the other coeffs; diagonal
-                # stays 1.
-                dB = np.zeros_like(B)
-                dB[s, :] = coeffs
-                dB[:, s] = coeffs
-                dB[s, s] = 0.0
-                dB_exp = dB[np.ix_(tasks, tasks)]
-                grads.append(K_base * dB_exp * dlam_da[s])
-            for s in range(n_src):
-                dB = np.zeros_like(B)
-                dB[s, :] = coeffs
-                dB[:, s] = coeffs
-                dB[s, s] = 0.0
-                dB_exp = dB[np.ix_(tasks, tasks)]
-                grads.append(K_base * dB_exp * dlam_db[s])
-            for k in range(n_src + 1):
-                grads.append(np.diag(
-                    np.exp(log_noise[k]) * task_masks[k].astype(float)
-                ))
-
-            lml, g, _ = gaussian_log_marginal(K, z, grads)
-            assert g is not None
-            return -lml, -g
-
-        # Warm-start refits from the previously optimized vector (the
-        # objective mutates the live parameters during evaluation).
-        theta0 = np.concatenate([
-            kernel.theta, self._log_a, self._log_b, self._log_noise,
-        ])
-        if (
-            self._opt_theta is not None
-            and len(self._opt_theta) == len(theta0)
-        ):
-            theta0 = self._opt_theta
-        bounds = (
-            kernel.bounds()
-            + [_GAMMA_BOUNDS] * (2 * n_src)
-            + [_NOISE_BOUNDS] * (n_src + 1)
-        )
-        best = maximize_objective(
-            objective, theta0, bounds,
-            n_restarts=self.n_restarts, seed=self.seed,
-        )
-        kernel.theta = best[:n_kernel]
-        self._log_a = best[n_kernel:n_kernel + n_src].copy()
-        self._log_b = best[n_kernel + n_src:n_kernel + 2 * n_src].copy()
-        self._log_noise = best[n_kernel + 2 * n_src:].copy()
-        self._opt_theta = np.asarray(best, dtype=float).copy()
-
-    # ---- prediction ----------------------------------------------------
-
-    @property
-    def is_fitted(self) -> bool:
-        """Whether :meth:`fit` has been called."""
-        return self._alpha is not None
-
-    def predict(
-        self, X_new: np.ndarray, include_noise: bool = False
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Posterior mean/variance at target-task inputs.
-
-        Args:
-            X_new: ``(m, d)`` query inputs.
-            include_noise: Add the target-task noise variance.
-
-        Returns:
-            ``(mean, variance)`` in the original target scale.
-
-        Raises:
-            RuntimeError: If not fitted.
-        """
-        if not self.is_fitted:
-            raise RuntimeError("predict() before fit()")
-        assert self._X is not None and self._tasks is not None
-        assert self._L is not None and self._alpha is not None
-        assert self._kernel is not None and self._log_noise is not None
-        X_new = np.atleast_2d(np.asarray(X_new, dtype=float))
-        coeffs = self._coeffs()
-        # Cross-covariance: target rows against all training tasks.
-        factors = coeffs[self._tasks] * coeffs[-1]
-        same_task = self._tasks == self._n_sources
-        factors = np.where(same_task, 1.0, factors)
-        K_star = self._kernel.eval(X_new, self._X) * factors[None, :]
-        mean_z = K_star @ self._alpha
-        v = np.linalg.solve(self._L, K_star.T)
-        var_z = self._kernel.diag(X_new) - np.sum(v * v, axis=0)
-        var_z = np.maximum(var_z, 1e-12)
-        if include_noise:
-            var_z = var_z + float(np.exp(self._log_noise[-1]))
-        return (
-            mean_z * self._y_std + self._y_mean,
-            var_z * self._y_std**2,
-        )
+        return self._fit(sources or [], X_target, y_target)

@@ -313,15 +313,10 @@ def _run_scenario_three_cell(spec: RunSpec, source, target, ppa_config,
     result = tuner.tune(target.X, oracle, **kwargs)
 
     lambdas: list[list[float]] = []
-    for model in tuner.models_:
-        if hasattr(model, "lambdas"):
+    if kwargs:
+        for model in tuner.models_:
             try:
                 lambdas.append([float(v) for v in model.lambdas])
-            except RuntimeError:
-                pass
-        elif hasattr(model, "lam") and kwargs:
-            try:
-                lambdas.append([float(model.lam)])
             except RuntimeError:
                 pass
     outcome = evaluate_outcome(

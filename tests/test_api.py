@@ -160,44 +160,12 @@ class TestUnifiedFitKeyword:
             stacked.predict(Xq)[0], paired.predict(Xq)[0]
         )
 
-    def test_deprecated_aliases_warn_and_match(self):
-        Xs, ys, Xt, yt = _transfer_data()
-        Xq = rng.uniform(size=(5, 2))
-        a = TransferGP(seed=0, optimize=False).fit(Xs, ys, Xt, yt)
-        with pytest.warns(DeprecationWarning):
-            b = TransferGP(seed=0, optimize=False).fit(
-                Xs=Xs, ys=ys, X_target=Xt, y_target=yt
-            )
-        np.testing.assert_allclose(
-            a.predict(Xq)[0], b.predict(Xq)[0]
-        )
-
     def test_conflicting_kwargs_raise(self):
         Xs, ys, Xt, yt = _transfer_data()
         with pytest.raises(ValueError):
             TransferGP(optimize=False).fit(
                 Xs, ys, Xt, yt, sources=[(Xs, ys)]
             )
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError):
-                TransferGP(optimize=False).fit(
-                    Xs, ys, Xt, yt, Xs=Xs, ys=ys,
-                )
-
-    def test_multisource_alias_warns_and_matches(self):
-        Xs, ys, Xt, yt = _transfer_data()
-        Xq = rng.uniform(size=(5, 2))
-        pairs = [(Xs[:7], ys[:7]), (Xs[7:], ys[7:])]
-        a = MultiSourceTransferGP(seed=0, optimize=False).fit(
-            pairs, Xt, yt
-        )
-        with pytest.warns(DeprecationWarning):
-            b = MultiSourceTransferGP(seed=0, optimize=False).fit(
-                Xs=pairs, X_target=Xt, y_target=yt
-            )
-        np.testing.assert_allclose(
-            a.predict(Xq)[0], b.predict(Xq)[0]
-        )
 
 
 class TestLazyPackageSurface:

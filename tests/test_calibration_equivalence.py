@@ -27,8 +27,6 @@ from repro.gp import (
     TransferGP,
     cholesky_append_row,
     cholesky_append_rows,
-    cholesky_rank1_downdate,
-    cholesky_rank1_update,
 )
 
 TOL = 1e-8
@@ -82,25 +80,6 @@ class TestCholeskyHelpers:
             cholesky_append_rows(
                 np.eye(3), np.zeros((2, 1)), np.eye(1)
             )
-
-    def test_rank1_update_and_downdate_roundtrip(self):
-        rng = np.random.default_rng(11)
-        A = _random_spd(rng, 6)
-        v = rng.normal(size=6)
-        L = np.linalg.cholesky(A)
-        L_up = cholesky_rank1_update(L, v)
-        np.testing.assert_allclose(
-            L_up @ L_up.T, A + np.outer(v, v), atol=1e-9
-        )
-        L_down = cholesky_rank1_downdate(L_up, v)
-        np.testing.assert_allclose(L_down @ L_down.T, A, atol=1e-9)
-        # Inputs untouched.
-        np.testing.assert_allclose(L, np.linalg.cholesky(A))
-
-    def test_rank1_downdate_rejects_indefinite(self):
-        L = np.linalg.cholesky(np.eye(3))
-        with pytest.raises(NotPositiveDefiniteError):
-            cholesky_rank1_downdate(L, np.array([2.0, 0.0, 0.0]))
 
 
 # ---------------------------------------------------------------------
@@ -361,29 +340,24 @@ class TestWarmStart:
         # Perturb the live kernel the way an aborted objective
         # evaluation would; the refit must resume from the stored
         # optimum, not the perturbed live value.
-        model.transfer_kernel.theta = theta_opt[:-2] + 2.5
-        with np.errstate(all="ignore"):
-            model._optimize_hyperparameters = (
-                TransferGP._optimize_hyperparameters.__get__(model)
-            )
-        # Refit with a zero-iteration budget: whatever the optimizer
-        # starts from is what it returns.
-        import repro.gp.transfer_gp as transfer_gp_mod
+        model.kernel.theta = theta_opt[:-4] + 2.5
+        # Spy on the optimizer's starting point.
+        import repro.gp.task_gp as task_gp_mod
 
-        original = transfer_gp_mod.maximize_objective
+        original = task_gp_mod.maximize_objective
         seen_theta0 = {}
 
         def spy(objective, theta0, bounds, **kwargs):
             seen_theta0["value"] = np.asarray(theta0).copy()
             return original(objective, theta0, bounds, **kwargs)
 
-        transfer_gp_mod.maximize_objective = spy
+        task_gp_mod.maximize_objective = spy
         try:
             model.fit(
                 Xs, rng.normal(size=20), Xt, rng.normal(size=10)
             )
         finally:
-            transfer_gp_mod.maximize_objective = original
+            task_gp_mod.maximize_objective = original
         np.testing.assert_allclose(seen_theta0["value"], theta_opt)
 
 

@@ -310,9 +310,7 @@ def _make_engine(m=3, d=3, shared=True, seed=0, n_pool=30, **cfg_kw):
         TransferGP(kernel=RBFKernel(np.full(d, 0.4)), optimize=False)
         for _ in range(m)
     ]
-    engine = CalibrationEngine(
-        models, cfg, multi=False, sources=[], X_source=Xs, Y_source=Ys
-    )
+    engine = CalibrationEngine(models, cfg, sources=[(Xs, Ys)])
     engine.register_pool(X_pool)
     return engine, X_pool, Y_pool
 
@@ -421,7 +419,7 @@ class TestSharedFactor:
         assert eng._shared_active
         # Re-optimization moves one metric's hyperparameters: the next
         # calibration must drop to the independent path.
-        kern = eng.models[1].transfer_kernel
+        kern = eng.models[1].kernel
         kern.theta = kern.theta + 0.5
         assert not eng._sharing_possible()
 

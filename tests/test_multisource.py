@@ -70,10 +70,19 @@ class TestFit:
     def test_task_matrix_psd(self):
         sources, Xt, yt, *_ = _make()
         model = MultiSourceTransferGP(seed=0).fit(sources, Xt, yt)
-        B = model._task_matrix(model._coeffs())
+        # One input per task: the noise-free prior over identical inputs
+        # is the kernel variance times the task-correlation matrix.
+        x = rng.uniform(size=(1, 3))
+        model._X = np.repeat(x, 3, axis=0)
+        model._tasks = np.arange(3)
+        K = model._cov_full() - np.diag(model._noise())
+        B = K / model.kernel.variance
         eigs = np.linalg.eigvalsh(B)
         assert eigs.min() > -1e-10
         assert np.allclose(np.diag(B), 1.0)
+        lams = model.lambdas
+        assert B[0, 2] == pytest.approx(lams[0])
+        assert B[0, 1] == pytest.approx(lams[0] * lams[1])
 
 
 class TestValidation:

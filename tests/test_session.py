@@ -538,3 +538,39 @@ class TestRecorderRestoration:
             X, oracle
         )
         assert oracle.recorder is sentinel
+
+
+# ---------------------------------------------------------------------------
+# input validation at the session boundary
+
+
+def _poisoned(case: str):
+    """Session kwargs with one bad input, and the message it must raise."""
+    X, Y = random_pool(7, n=20, d=3, m=2)
+    Xs, Ys = X[:10].copy(), Y[:10].copy()
+    if case == "narrow source":
+        return {"X_pool": X, "sources": [(Xs, Ys), (Xs[:, :2], Ys)]}, (
+            r"knob count.*X_pool \(20, 3\).*sources X \(10, 2\)"
+            r".*sources Y \(10, 2\) \(archive 1\)"
+        )
+    if case == "nan pool":
+        X[4, 1] = np.nan
+        return {"X_pool": X}, r"X_pool \(20, 3\) contains NaN or inf"
+    if case == "inf source X":
+        Xs[2, 0] = np.inf
+        return {"X_pool": X, "sources": [(Xs, Ys)]}, (
+            r"NaN or inf in sources X:.*\(10, 3\).*\(archive 0\)"
+        )
+    Ys[3, 1] = np.nan
+    return {"X_pool": X, "X_source": Xs, "Y_source": Ys}, (
+        r"NaN or inf in Y_source:.*Y_source \(10, 2\) \(archive 0\)"
+    )
+
+
+@pytest.mark.parametrize(
+    "case", ["narrow source", "nan pool", "inf source X", "nan source Y"]
+)
+def test_bad_inputs_rejected_with_named_shapes(case):
+    kwargs, message = _poisoned(case)
+    with pytest.raises(ValueError, match=message):
+        TuningSession(PPATunerConfig(seed=0), n_objectives=2, **kwargs)

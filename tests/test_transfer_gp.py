@@ -11,8 +11,6 @@ from repro.gp import (
     TARGET_TASK,
     RBFKernel,
     TransferGP,
-    TransferKernel,
-    gaussian_log_marginal,
     transfer_factor,
 )
 
@@ -54,73 +52,71 @@ class TestTransferFactor:
 
 
 class TestTransferKernel:
-    def _kernel(self, a=1.0, b=1.0):
-        return TransferKernel(RBFKernel(np.full(2, 0.5)), a=a, b=b)
+    """The Eq. (7) transfer kernel, as realised by the model covariance."""
+
+    def _model(self, n_src, n_tgt, a=1.0, b=1.0, optimize=False):
+        X = rng.uniform(size=(n_src + n_tgt, 2))
+        y = np.sin(4 * X.sum(axis=1))
+        model = TransferGP(
+            RBFKernel(np.full(2, 0.5)), a=a, b=b, optimize=optimize
+        ).fit(X[:n_src], y[:n_src], X[n_src:], y[n_src:])
+        return model, X
+
+    def _prior(self, model):
+        """Noise-free joint prior covariance of the training rows."""
+        return model._cov_full() - np.diag(model._noise()[model._tasks])
 
     def test_within_task_is_base_kernel(self):
-        tk = self._kernel()
-        X = rng.uniform(size=(6, 2))
-        tasks = np.zeros(6, dtype=int)
-        assert np.allclose(tk.eval(X, tasks), tk.base.eval(X))
+        model, X = self._model(6, 3)
+        K = self._prior(model)
+        K_base = model.kernel.eval(X)
+        assert np.allclose(K[:6, :6], K_base[:6, :6])
+        assert np.allclose(K[6:, 6:], K_base[6:, 6:])
 
     def test_cross_task_damped(self):
-        tk = self._kernel(a=1.0, b=2.0)  # lambda = 2/4-1 = -0.5
-        X = rng.uniform(size=(4, 2))
-        tasks = np.array([0, 0, 1, 1])
-        K = tk.eval(X, tasks)
-        K_base = tk.base.eval(X)
-        assert np.allclose(K[:2, 2:], tk.lam * K_base[:2, 2:])
+        model, X = self._model(2, 2, a=1.0, b=2.0)  # lambda = 2/4-1 = -0.5
+        assert model.lam == pytest.approx(-0.5)
+        K = self._prior(model)
+        K_base = model.kernel.eval(X)
+        assert np.allclose(K[:2, 2:], model.lam * K_base[:2, 2:])
         assert np.allclose(K[:2, :2], K_base[:2, :2])
+        # Target queries see source rows damped by lambda too.
+        Xq = rng.uniform(size=(3, 2))
+        K_q = model._cross_cov(Xq)
+        K_q_base = model.kernel.eval(Xq, X)
+        assert np.allclose(K_q[:, :2], model.lam * K_q_base[:, :2])
+        assert np.allclose(K_q[:, 2:], K_q_base[:, 2:])
 
     def test_psd_for_positive_lambda(self):
-        tk = self._kernel(a=0.5, b=0.5)
-        assert tk.lam > 0
-        X = rng.uniform(size=(10, 2))
-        tasks = (np.arange(10) % 2)
-        eigs = np.linalg.eigvalsh(tk.eval(X, tasks))
+        model, _ = self._model(5, 5, a=0.5, b=0.5)
+        assert model.lam > 0
+        eigs = np.linalg.eigvalsh(self._prior(model))
         assert eigs.min() > -1e-8
 
     def test_theta_includes_gamma_params(self):
-        tk = self._kernel()
-        assert len(tk.theta) == tk.base.n_params + 2
+        model, _ = self._model(6, 4, optimize=True)
+        # Base kernel, log a, log b, then the two task noises.
+        assert len(model._opt_theta) == model.kernel.n_params + 2 + 2
 
     def test_theta_setter(self):
-        tk = self._kernel()
-        theta = tk.theta
-        theta[-2:] = np.log([2.0, 3.0])
-        tk.theta = theta
-        assert tk.a == pytest.approx(2.0)
-        assert tk.b == pytest.approx(3.0)
+        model, _ = self._model(4, 3, a=2.0, b=3.0)
+        assert model.lam == pytest.approx(transfer_factor(2.0, 3.0))
+        assert np.allclose(np.exp(model._log_a), 2.0)
+        assert np.allclose(np.exp(model._log_b), 3.0)
 
     def test_invalid_gamma_rejected(self):
         with pytest.raises(ValueError):
-            TransferKernel(RBFKernel(np.ones(2)), a=-1.0)
+            TransferGP(RBFKernel(np.ones(2)), a=-1.0)
 
     def test_gradients_match_finite_differences(self):
-        X = rng.uniform(size=(10, 2))
-        tasks = np.array([0] * 5 + [1] * 5)
-        y = np.sin(4 * X.sum(axis=1))
-        tk = self._kernel(a=0.8, b=1.2)
-
-        def lml(theta):
-            tk.theta = theta
-            K, _ = tk.eval_with_grads(X, tasks)
-            value, _, _ = gaussian_log_marginal(
-                K + 0.01 * np.eye(10), y
-            )
-            return value
-
-        def grad(theta):
-            tk.theta = theta
-            K, grads = tk.eval_with_grads(X, tasks)
-            _, g, _ = gaussian_log_marginal(
-                K + 0.01 * np.eye(10), y, grads
-            )
-            return g
-
-        theta0 = tk.theta + rng.normal(scale=0.05, size=len(tk.theta))
-        numeric = approx_fprime(theta0, lml, 1e-6)
-        assert np.allclose(grad(theta0), numeric, atol=1e-4)
+        model, _ = self._model(5, 5, a=0.8, b=1.2)
+        z = (model._y_raw - model._y_mean) / model._y_std
+        objective = model._objective(model._X, model._tasks, z)
+        theta0 = model._theta() + rng.normal(
+            scale=0.05, size=len(model._theta())
+        )
+        numeric = approx_fprime(theta0, lambda t: objective(t)[0], 1e-6)
+        assert np.allclose(objective(theta0)[1], numeric, atol=1e-4)
 
 
 def _make_tasks(shift=0.05, flip=False, n_src=60, n_tgt=10):
