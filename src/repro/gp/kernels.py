@@ -6,15 +6,18 @@ optimization).  Every kernel exposes:
 
 - ``theta`` — the log-hyperparameter vector (settable);
 - ``eval(X1, X2)`` — cross-covariance matrix;
-- ``eval_with_grads(X)`` — symmetric covariance plus ``dK/dtheta_i`` for
-  each hyperparameter, used by marginal-likelihood training.
+- ``gram(D)`` — training covariance plus the contraction
+  ``W -> sum(W * dK/dtheta_i)`` marginal-likelihood training needs.
 """
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
+from collections.abc import Callable
 
 import numpy as np
+from scipy.linalg.blas import dgemv
 
 #: Default log-space box constraints for lengthscales and variances.
 _LOG_BOUNDS = (-6.0, 6.0)
@@ -24,6 +27,13 @@ def _sq_dists_per_dim(X1: np.ndarray, X2: np.ndarray) -> np.ndarray:
     """Per-dimension squared differences, shape ``(n1, n2, d)``."""
     diff = X1[:, None, :] - X2[None, :, :]
     return diff * diff
+
+
+def pairwise_sq_diffs(X: np.ndarray) -> np.ndarray:
+    """Unscaled per-dimension squared differences of ``X`` with itself,
+    as the ``(n * n, d)`` Fortran-ordered matrix :meth:`Kernel.gram`
+    contracts through scipy's BLAS (no copy per call)."""
+    return np.asfortranarray(_sq_dists_per_dim(X, X).reshape(len(X) ** 2, -1))
 
 
 class Kernel(ABC):
@@ -53,10 +63,12 @@ class Kernel(ABC):
         """Covariance matrix between ``X1`` and ``X2`` (or ``X1`` itself)."""
 
     @abstractmethod
-    def eval_with_grads(
-        self, X: np.ndarray
-    ) -> tuple[np.ndarray, list[np.ndarray]]:
-        """Symmetric covariance of ``X`` and per-hyperparameter gradients."""
+    def gram(
+        self, D: np.ndarray
+    ) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
+        """``(K, contract)`` for ``X`` from ``D = pairwise_sq_diffs(X)``
+        (built once per fit): the covariance and
+        ``W -> [sum(W * dK/dtheta_i) for each i]``."""
 
     def diag(self, X: np.ndarray) -> np.ndarray:
         """Diagonal of ``eval(X, X)`` without forming the matrix."""
@@ -126,11 +138,30 @@ class _ArdKernel(Kernel):
     def bounds(self) -> list[tuple[float, float]]:
         return [_LOG_BOUNDS] * (self.dim + 1)
 
-    def _scaled_sq_dists(
-        self, X1: np.ndarray, X2: np.ndarray
-    ) -> np.ndarray:
+    @abstractmethod
+    def _radial(self, r2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(K, G)`` at scaled squared distances ``r2``, where
+        ``G = -2 dK/d(r^2)`` so that ``dK/dlog ls_j = G * D_j / ls_j^2``."""
+
+    def eval(self, X1: np.ndarray, X2: np.ndarray | None = None) -> np.ndarray:
+        X1 = np.atleast_2d(X1)
+        X2 = X1 if X2 is None else np.atleast_2d(X2)
         ls = self.lengthscales
-        return _sq_dists_per_dim(X1 / ls, X2 / ls)
+        return self._radial(_sq_dists_per_dim(X1 / ls, X2 / ls).sum(axis=2))[0]
+
+    def gram(
+        self, D: np.ndarray
+    ) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
+        n = math.isqrt(len(D))
+        inv_ls2 = np.exp(-2.0 * self._log_ls)
+        K, G = self._radial(dgemv(1.0, D, inv_ls2).reshape(n, n))
+
+        def contract(W: np.ndarray) -> np.ndarray:
+            # d/dlog ls_j: G * D_j / ls_j^2; d/dlog var: K itself.
+            ls = dgemv(1.0, D, (W * G).ravel(), trans=1) * inv_ls2
+            return np.append(ls, np.sum(W * K))
+
+        return K, contract
 
 
 class RBFKernel(_ArdKernel):
@@ -139,23 +170,9 @@ class RBFKernel(_ArdKernel):
     ``k(x, x') = variance * exp(-0.5 * sum_j ((x_j - x'_j) / ls_j)^2)``
     """
 
-    def eval(self, X1: np.ndarray, X2: np.ndarray | None = None) -> np.ndarray:
-        X1 = np.atleast_2d(X1)
-        X2 = X1 if X2 is None else np.atleast_2d(X2)
-        sq = self._scaled_sq_dists(X1, X2).sum(axis=2)
-        return self.variance * np.exp(-0.5 * sq)
-
-    def eval_with_grads(
-        self, X: np.ndarray
-    ) -> tuple[np.ndarray, list[np.ndarray]]:
-        X = np.atleast_2d(X)
-        sq_dims = self._scaled_sq_dists(X, X)
-        K = self.variance * np.exp(-0.5 * sq_dims.sum(axis=2))
-        grads: list[np.ndarray] = [
-            K * sq_dims[:, :, j] for j in range(self.dim)
-        ]
-        grads.append(K.copy())  # d/dlog var
-        return K, grads
+    def _radial(self, r2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        K = self.variance * np.exp(-0.5 * r2)
+        return K, K
 
 
 class Matern52Kernel(_ArdKernel):
@@ -165,32 +182,12 @@ class Matern52Kernel(_ArdKernel):
     ``r`` is the ARD-scaled Euclidean distance.
     """
 
-    def eval(self, X1: np.ndarray, X2: np.ndarray | None = None) -> np.ndarray:
-        X1 = np.atleast_2d(X1)
-        X2 = X1 if X2 is None else np.atleast_2d(X2)
-        r2 = self._scaled_sq_dists(X1, X2).sum(axis=2)
-        r = np.sqrt(np.maximum(r2, 0.0))
-        s5r = np.sqrt(5.0) * r
-        return self.variance * (1.0 + s5r + 5.0 / 3.0 * r2) * np.exp(-s5r)
-
-    def eval_with_grads(
-        self, X: np.ndarray
-    ) -> tuple[np.ndarray, list[np.ndarray]]:
-        X = np.atleast_2d(X)
-        sq_dims = self._scaled_sq_dists(X, X)
-        r2 = sq_dims.sum(axis=2)
+    def _radial(self, r2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         r = np.sqrt(np.maximum(r2, 0.0))
         s5r = np.sqrt(5.0) * r
         expo = np.exp(-s5r)
         K = self.variance * (1.0 + s5r + 5.0 / 3.0 * r2) * expo
-        # dk/d(r^2) = -(5/6) * variance * (1 + sqrt(5) r) * exp(-sqrt5 r)
-        dk_dr2 = -(5.0 / 6.0) * self.variance * (1.0 + s5r) * expo
-        grads: list[np.ndarray] = []
-        for j in range(self.dim):
-            # d(r^2)/d(log ls_j) = -2 * scaled_sq_dist_j
-            grads.append(dk_dr2 * (-2.0 * sq_dims[:, :, j]))
-        grads.append(K.copy())  # d/dlog var
-        return K, grads
+        return K, 5.0 / 3.0 * self.variance * (1.0 + s5r) * expo
 
 
 def make_kernel(

@@ -18,21 +18,17 @@ Objective = Callable[[np.ndarray], tuple[float, np.ndarray]]
 
 
 def gaussian_log_marginal(
-    K: np.ndarray,
-    y: np.ndarray,
-    K_grads: list[np.ndarray] | None = None,
-) -> tuple[float, np.ndarray | None, np.ndarray]:
-    """Log marginal likelihood of ``y ~ N(0, K)`` and optional gradients.
+    K: np.ndarray, y: np.ndarray
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Log marginal likelihood of ``y ~ N(0, K)``.
 
     Args:
         K: Covariance (including noise on the diagonal).
         y: Observations (zero-mean).
-        K_grads: Optional ``dK/dtheta_i`` matrices.
 
     Returns:
-        ``(lml, grads_or_None, alpha)`` where ``alpha = K^-1 y``.  The
-        gradient of the LML w.r.t. each hyperparameter is
-        ``0.5 * tr((alpha alpha^T - K^-1) dK/dtheta)``.
+        ``(lml, L, alpha)`` with ``L`` the (possibly jittered) lower
+        Cholesky factor of ``K`` and ``alpha = K^-1 y``.
     """
     L, _ = robust_cholesky(K)
     alpha = cholesky_solve(L, y)
@@ -41,14 +37,7 @@ def gaussian_log_marginal(
         - 0.5 * log_det_from_cholesky(L)
         - 0.5 * len(y) * np.log(2.0 * np.pi)
     )
-    if K_grads is None:
-        return lml, None, alpha
-    K_inv = cholesky_solve(L, np.eye(len(y)))
-    inner = np.outer(alpha, alpha) - K_inv
-    grads = np.array(
-        [0.5 * np.sum(inner * dK) for dK in K_grads]
-    )
-    return lml, grads, alpha
+    return lml, L, alpha
 
 
 def maximize_objective(

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
+from scipy.linalg import cho_solve, cholesky, solve_triangular
+from scipy.linalg.lapack import dpotri
 
 #: Initial diagonal jitter added when a covariance factorization fails.
 DEFAULT_JITTER = 1e-8
@@ -15,6 +16,16 @@ _MAX_TRIES = 8
 
 class NotPositiveDefiniteError(np.linalg.LinAlgError):
     """Covariance matrix could not be factorized even with jitter."""
+
+
+def _cholesky(matrix: np.ndarray) -> np.ndarray:
+    """Lower factor through scipy's LAPACK, as every solve here (one BLAS
+    library, see DESIGN.md).  OpenBLAS's pivot test lets NaN and an
+    infinite diagonal through; both leave a non-finite pivot."""
+    L = cholesky(matrix, lower=True, check_finite=False)
+    if not np.isfinite(np.diag(L)).all():
+        raise NotPositiveDefiniteError("non-finite Cholesky pivot")
+    return L
 
 
 def robust_cholesky(
@@ -31,22 +42,22 @@ def robust_cholesky(
         ``(L, used_jitter)`` where ``L @ L.T ≈ matrix + used_jitter * I``.
 
     Raises:
-        NotPositiveDefiniteError: If the matrix stays indefinite after
+        NotPositiveDefiniteError: If the matrix has a non-finite entry
+            in its lower triangle, or stays indefinite after
             ``_MAX_TRIES`` jitter escalations.
     """
     matrix = np.asarray(matrix, dtype=float)
     scale = float(np.mean(np.diag(matrix))) or 1.0
     try:
-        return np.linalg.cholesky(matrix), 0.0
+        return _cholesky(matrix), 0.0
+    except NotPositiveDefiniteError:
+        raise  # non-finite entries: no jitter helps
     except np.linalg.LinAlgError:
         pass
     current = jitter * scale
     for _ in range(_MAX_TRIES):
         try:
-            L = np.linalg.cholesky(
-                matrix + current * np.eye(len(matrix))
-            )
-            return L, current
+            return _cholesky(matrix + current * np.eye(len(matrix))), current
         except np.linalg.LinAlgError:
             current *= _JITTER_GROWTH
     raise NotPositiveDefiniteError(
@@ -59,11 +70,11 @@ def cholesky_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
     return cho_solve((L, True), b)
 
 
-def triangular_solve(
-    L: np.ndarray, b: np.ndarray, lower: bool = True
-) -> np.ndarray:
-    """Solve ``L x = b`` for triangular ``L``."""
-    return solve_triangular(L, b, lower=lower)
+def cholesky_inverse(L: np.ndarray) -> np.ndarray:
+    """``(L @ L.T)^-1`` from a lower factor whose strict upper triangle
+    is zero, as every factor here (LAPACK ``potri`` fills the lower)."""
+    inv = dpotri(L, lower=True)[0]
+    return inv + np.tril(inv, -1).T
 
 
 def log_det_from_cholesky(L: np.ndarray) -> float:
@@ -115,7 +126,7 @@ def cholesky_append_rows(
     B = solve_triangular(L, K_cross, lower=True) if n else K_cross
     S = K_new - B.T @ B
     try:
-        L22 = np.linalg.cholesky(S)
+        L22 = _cholesky(S)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefiniteError(
             "Schur complement of appended rows is not PD"
@@ -154,11 +165,10 @@ def cholesky_append_row(
 __all__ = [
     "DEFAULT_JITTER",
     "NotPositiveDefiniteError",
-    "cho_factor",
     "cholesky_append_row",
     "cholesky_append_rows",
+    "cholesky_inverse",
     "cholesky_solve",
     "log_det_from_cholesky",
     "robust_cholesky",
-    "triangular_solve",
 ]

@@ -41,11 +41,12 @@ Targets are standardized internally; inputs are expected pre-normalized.
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 from .incremental import IncrementalGPMixin
-from .kernels import Kernel, RBFKernel
+from .kernels import Kernel, RBFKernel, pairwise_sq_diffs
 from .likelihood import gaussian_log_marginal, maximize_objective
-from .linalg import cholesky_solve, robust_cholesky
+from .linalg import cholesky_inverse, cholesky_solve, robust_cholesky
 
 #: Log-space bounds for the Gamma hyperparameters a and b.
 _GAMMA_BOUNDS = (-5.0, 4.0)
@@ -255,50 +256,51 @@ class _TaskGP(IncrementalGPMixin):
         )
 
     def _objective(self, X: np.ndarray, tasks: np.ndarray, z: np.ndarray):
-        """Negative LML and its gradient as a function of theta.
+        """Negative LML and its fused gradient as a function of theta.
 
-        The returned callable sets the live kernel theta as it goes.
+        With ``inner = alpha alpha^T - K^-1`` and ``K = K_base * F`` no
+        ``dK/dtheta_i`` is formed (DESIGN.md §5e).  The returned callable
+        sets the live kernel theta as it goes.
         """
         kernel = self.kernel
         assert kernel is not None
         n_k, n_src = kernel.n_params, self._n_sources
-        # Task masks depend only on the layout: build them once per fit.
-        in_task = [tasks == k for k in range(n_src + 1)]
+        # X and the task layout are fixed during L-BFGS: build once the
+        # squared differences and the runs of equal task labels.
+        D = pairwise_sq_diffs(X)
         cross = tasks[:, None] != tasks[None, :]
         has_cross = bool(cross.any())
-        touches = [cross & (m[:, None] | m[None, :]) for m in in_task[:-1]]
-        noise_masks = [np.diag(m.astype(float)) for m in in_task]
+        starts = np.flatnonzero(np.diff(tasks, prepend=-1))
+        run_tasks = np.ix_(tasks[starts], tasks[starts])
+        diag = np.diag_indices(len(X))
 
         def objective(theta: np.ndarray) -> tuple[float, np.ndarray]:
             kernel.theta = theta[:n_k]
             c, dc_da, dc_db = _coefficients(
                 theta[n_k:n_k + n_src], theta[n_k + n_src:n_k + 2 * n_src]
             )
-            noise = [float(np.exp(v)) for v in theta[n_k + 2 * n_src:]]
-            K_base, grads = kernel.eval_with_grads(X)
-            K = K_base
+            noise = np.array([float(np.exp(v)) for v in theta[-n_src - 1:]])
+            K_base, contract = kernel.gram(D)
+            F = _task_factor(c, tasks[:, None], tasks[None, :], cross) \
+                if has_cross else 1.0
+            K = K_base * F
+            K[diag] += noise[tasks]
+            lml, L, alpha = gaussian_log_marginal(K, z)
+            inner = np.outer(alpha, alpha) - cholesky_inverse(L)
+            g_c = np.zeros(n_src)
             if has_cross:
-                factor = _task_factor(c, tasks[:, None], tasks[None, :], cross)
-                K = K_base * factor
-                grads = [g * factor for g in grads]
-            cr = c[tasks]
-            # dF/dc_s on cross pairs touching s: the other task's c.
-            dK_dc = [
-                K_base * np.where(
-                    t, np.where(m[:, None], cr[None, :], cr[:, None]), 0.0
-                )
-                for t, m in zip(touches, in_task)
-            ]
-            grads = (
-                grads
-                + [dK * d for dK, d in zip(dK_dc, dc_da)]
-                + [dK * d for dK, d in zip(dK_dc, dc_db)]
-                + [v * m for v, m in zip(noise, noise_masks)]
-            )
-            K = K + np.diag(np.array(noise)[tasks])
-            lml, g, _ = gaussian_log_marginal(K, z, grads)
-            assert g is not None
-            return -lml, -g
+                # S[k, l]: sum of inner * K_base over task pair (k, l).
+                S = np.zeros((n_src + 1, n_src + 1))
+                P = np.add.reduceat(inner * K_base, starts, axis=0)
+                np.add.at(S, run_tasks, np.add.reduceat(P, starts, axis=1))
+                g_c = S[:-1] @ c - np.diag(S)[:-1] * c[:-1]
+            grad = np.concatenate([
+                0.5 * contract(inner * F),
+                g_c * dc_da,
+                g_c * dc_db,
+                0.5 * noise * np.bincount(tasks, np.diag(inner), n_src + 1),
+            ])
+            return -lml, -grad
 
         return objective
 
@@ -430,7 +432,7 @@ class _TaskGP(IncrementalGPMixin):
         X_new = np.atleast_2d(np.asarray(X_new, dtype=float))
         K_star = self._cross_cov(X_new)
         mean_z = K_star @ self._alpha
-        v = np.linalg.solve(self._L, K_star.T)
+        v = solve_triangular(self._L, K_star.T, lower=True)
         var_z = self._prior_diag(X_new) - np.sum(v * v, axis=0)
         var_z = np.maximum(var_z, 1e-12)
         if include_noise:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.optimize import approx_fprime
@@ -18,6 +21,8 @@ from repro.gp import (
     maximize_objective,
     robust_cholesky,
 )
+from repro.gp.kernels import pairwise_sq_diffs
+from repro.gp.linalg import cholesky_inverse
 
 rng = np.random.default_rng(0)
 
@@ -47,6 +52,28 @@ class TestLinalg:
         b = rng.normal(size=5)
         L, _ = robust_cholesky(K)
         assert np.allclose(K @ cholesky_solve(L, b), b)
+
+    @pytest.mark.parametrize("bad", [
+        (0, 0, np.nan), (3, 1, np.nan), (3, 1, np.inf), (2, 2, np.inf),
+    ], ids=["nan-diag", "nan-off", "inf-off", "inf-diag"])
+    def test_non_finite_covariance_raises_not_pd(self, bad):
+        # A LinAlgError the likelihood code already handles, never the
+        # ValueError of scipy's check_finite nor a silently NaN factor.
+        A = rng.normal(size=(5, 5))
+        K = A @ A.T + np.eye(5)
+        i, j, value = bad
+        K[i, j] = K[j, i] = value
+        with pytest.raises(NotPositiveDefiniteError):
+            robust_cholesky(K)
+        assert issubclass(NotPositiveDefiniteError, np.linalg.LinAlgError)
+
+    def test_cholesky_inverse(self):
+        A = rng.normal(size=(6, 6))
+        K = A @ A.T + np.eye(6)
+        L, _ = robust_cholesky(K)
+        K_inv = cholesky_inverse(L)
+        np.testing.assert_array_equal(K_inv, K_inv.T)
+        np.testing.assert_allclose(K_inv @ K, np.eye(6), atol=1e-10)
 
     def test_log_det(self):
         A = rng.normal(size=(5, 5))
@@ -87,9 +114,11 @@ class TestKernels:
         y = np.sin(3 * X.sum(axis=1))
         kernel = cls(np.full(3, 0.4), 1.3)
 
+        D = pairwise_sq_diffs(X)
+
         def lml(theta):
             kernel.theta = theta
-            K, _ = kernel.eval_with_grads(X)
+            K, _ = kernel.gram(D)
             value, _, _ = gaussian_log_marginal(
                 K + 0.01 * np.eye(12), y
             )
@@ -97,11 +126,10 @@ class TestKernels:
 
         def grad(theta):
             kernel.theta = theta
-            K, grads = kernel.eval_with_grads(X)
-            _, g, _ = gaussian_log_marginal(
-                K + 0.01 * np.eye(12), y, grads
-            )
-            return g
+            K, contract = kernel.gram(D)
+            np.testing.assert_allclose(K, kernel.eval(X), rtol=1e-12)
+            _, L, alpha = gaussian_log_marginal(K + 0.01 * np.eye(12), y)
+            return 0.5 * contract(np.outer(alpha, alpha) - cholesky_inverse(L))
 
         theta0 = kernel.theta + rng.normal(scale=0.05, size=4)
         numeric = approx_fprime(theta0, lml, 1e-6)
@@ -174,6 +202,57 @@ class TestMaximizeObjective:
             [(-5.0, 5.0), (4.0, 4.0)], n_restarts=2, seed=1,
         )
         assert best[1] == 4.0
+
+
+    def test_overflowing_restart_is_skipped(self):
+        # Past theta = 0 the covariance overflows to inf - inf = NaN: the
+        # factorization raises and that restart is dropped, not the fit.
+        raised = []
+
+        def objective(theta):
+            with np.errstate(over="ignore", invalid="ignore"):
+                s = np.exp(np.exp(60.0 * theta[0]))
+                K = np.array([[s, s / 2], [s / 2, s]]) + np.eye(2)
+            try:
+                robust_cholesky(K)
+            except NotPositiveDefiniteError:
+                raised.append(theta[0])
+                raise
+            return float((theta[0] + 1.0) ** 2), 2.0 * (theta + 1.0)
+
+        best = maximize_objective(
+            objective, np.array([-2.0]), [(-3.0, 3.0)], n_restarts=4, seed=0
+        )
+        assert raised
+        assert best[0] == pytest.approx(-1.0, abs=1e-4)
+
+
+class TestOneBlasLibrary:
+    """numpy and scipy each bundle an OpenBLAS; alternating the two in
+    one loop makes their idle threads spin against each other (10-20x
+    slower on two cores), so the GP layer factors and solves through
+    scipy only."""
+
+    BANNED = {"cholesky", "solve", "inv"}
+    NUMPY_LINALG = {"np.linalg", "numpy.linalg"}
+
+    def test_no_numpy_linalg_factor_or_solve_in_gp(self):
+        root = Path(__file__).resolve().parents[1] / "src" / "repro" / "gp"
+        found = []
+        for path in sorted(root.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Attribute):
+                    hit = (node.attr in self.BANNED
+                           and ast.unparse(node.value) in self.NUMPY_LINALG)
+                elif isinstance(node, ast.ImportFrom):
+                    hit = node.module == "numpy.linalg" and any(
+                        a.name in self.BANNED for a in node.names
+                    )
+                else:
+                    continue
+                if hit:
+                    found.append(f"{path.name}:{node.lineno}")
+        assert found == []
 
 
 class TestGPRegressor:

@@ -7,7 +7,7 @@ Pins the contracts of :mod:`repro.gp.task_gp`:
   hyperparameters, posterior mean and variance, and an incremental
   update;
 - the analytic likelihood gradient matches finite differences for zero,
-  one and two source tasks.
+  one and two source tasks, under both kernels.
 """
 
 from __future__ import annotations
@@ -85,8 +85,13 @@ class TestConstructorsAreOneModel:
 
 
 class TestObjectiveGradient:
-    @pytest.mark.parametrize("n_sources", [0, 1, 2])
-    def test_matches_finite_differences(self, n_sources):
+    @pytest.mark.parametrize(
+        "kernel_cls, n_sources",
+        [(RBFKernel, k) for k in (0, 1, 2)]
+        + [(Matern52Kernel, k) for k in (0, 1, 2)],
+        ids=["0", "1", "2", "matern52-0", "matern52-1", "matern52-2"],
+    )
+    def test_matches_finite_differences(self, kernel_cls, n_sources):
         rng = np.random.default_rng(10 + n_sources)
         sources = [
             (rng.uniform(size=(6, 2)), rng.normal(size=6))
@@ -94,7 +99,7 @@ class TestObjectiveGradient:
         ]
         Xt = rng.uniform(size=(7, 2))
         model = MultiSourceTransferGP(
-            RBFKernel(np.full(2, 0.5)), a=0.4, b=1.3, optimize=False
+            kernel_cls(np.full(2, 0.5)), a=0.4, b=1.3, optimize=False
         ).fit(sources, Xt, rng.normal(size=7))
         z = (model._y_raw - model._y_mean) / model._y_std
         objective = model._objective(model._X, model._tasks, z)
