@@ -138,10 +138,19 @@ def _cmd_tune(args: argparse.Namespace) -> int:
         import dataclasses
 
         config = dataclasses.replace(config, fault_policy=policy)
+    tuner = PPATuner(config, recorder=recorder)
     try:
-        result = PPATuner(config, recorder=recorder).tune(
-            target.X, oracle, **kwargs
-        )
+        result = tuner.tune(target.X, oracle, **kwargs)
+    except ValueError as exc:
+        # Input validation runs before the session exists; a ValueError
+        # raised later comes from inside the run and is not a usage error.
+        if tuner.session_ is not None:
+            raise
+        tables = f"{args.target} ({target.X.shape[1]} knobs)"
+        if args.source:
+            tables += f" with source {args.source} ({source.X.shape[1]} knobs)"
+        print(f"repro tune: cannot tune {tables}: {exc}", file=sys.stderr)
+        return 2
     finally:
         recorder.close()
     if args.trace:

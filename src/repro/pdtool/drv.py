@@ -85,10 +85,12 @@ def repair_drv(
     buf = library.variant("BUF", 4)
 
     # Per-driver routed net length: Steiner-shared sum of sink edges.
-    net_length = np.zeros(n)
-    drivers = compiled.fanin_idx
-    valid = drivers >= 0
-    np.add.at(net_length, drivers[valid], routing.routed_edge_length[valid])
+    st = compiled.structure
+    net_length = np.bincount(
+        st.pair_driver,
+        weights=routing.routed_edge_length[st.driven],
+        minlength=n,
+    ).astype(float, copy=False)
     multi = compiled.fanout_count > 1
     net_length[multi] *= _STEINER_FACTOR
 

@@ -64,10 +64,6 @@ def _scaled_view(
     view.leakage = compiled.leakage * (0.5 + 0.5 * scale)
     view.internal_energy = compiled.internal_energy * (0.6 + 0.4 * scale)
     view.drive = compiled.drive
-    # Structure-only caches are parameter independent; share them.
-    cache = getattr(compiled, "_level_pins_cache", None)
-    if cache is not None:
-        view._level_pins_cache = cache  # type: ignore[attr-defined]
     return view
 
 

@@ -12,6 +12,7 @@ those arrays.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -130,6 +131,88 @@ class Netlist:
         return CompiledNetlist.from_netlist(self)
 
 
+class LevelPins(NamedTuple):
+    """The fanin pins of one topological level, grouped by owner cell.
+
+    Each cell's pins are one contiguous run of ``pins``, so a per-cell
+    reduction over a level is one ``ufunc.reduceat(values, starts)``.
+
+    Attributes:
+        pins: Indices into ``fanin_idx`` of the level's pins, in cell order.
+        starts: Offset in ``pins`` at which each owner's run begins.
+        cells: The owner cell of each run (the level's cells with pins).
+    """
+
+    pins: np.ndarray
+    starts: np.ndarray
+    cells: np.ndarray
+
+
+@dataclass(frozen=True)
+class NetlistStructure:
+    """Parameter-independent index arrays over the fanin pins.
+
+    Built once per :class:`CompiledNetlist` and shared, by reference,
+    with every electrical view derived from it: placement, DRV and STA
+    read these instead of re-deriving them on every flow run.
+
+    Attributes:
+        pin_owner: Cell owning each fanin pin.
+        driven: Mask of pins driven by a cell (not a primary input).
+        driver: ``fanin_idx`` clipped to a cell id (primary-input pins
+            read cell 0; mask them with ``driven``).
+        pair_driver: Driver cell of each driven pin (``fanin_idx[driven]``).
+        pair_owner: Owner cell of each driven pin (``pin_owner[driven]``).
+        owners: Cells with at least one pin.
+        owner_starts: Start of each owner's pin run (``fanin_ptr[owners]``).
+        level_pins: One :class:`LevelPins` per topological level.
+    """
+
+    pin_owner: np.ndarray
+    driven: np.ndarray
+    driver: np.ndarray
+    pair_driver: np.ndarray
+    pair_owner: np.ndarray
+    owners: np.ndarray
+    owner_starts: np.ndarray
+    level_pins: tuple[LevelPins, ...]
+
+    @classmethod
+    def build(
+        cls,
+        fanin_ptr: np.ndarray,
+        fanin_idx: np.ndarray,
+        levels: list[np.ndarray],
+    ) -> "NetlistStructure":
+        """Derive the index arrays from the fanin CSR and levelization."""
+        n = len(fanin_ptr) - 1
+        counts = np.diff(fanin_ptr)
+        pin_owner = np.repeat(np.arange(n), counts)
+        driven = fanin_idx >= 0
+        owners = np.nonzero(counts > 0)[0]
+        level_pins = []
+        for cells in levels:
+            cells = cells[counts[cells] > 0]
+            run = counts[cells]
+            starts = np.cumsum(run) - run
+            # Grouped arange: each cell's pins are contiguous in fanin_idx.
+            pins = (
+                np.repeat(fanin_ptr[cells] - starts, run)
+                + np.arange(int(run.sum()))
+            )
+            level_pins.append(LevelPins(pins, starts, cells))
+        return cls(
+            pin_owner=pin_owner,
+            driven=driven,
+            driver=np.clip(fanin_idx, 0, max(n - 1, 0)),
+            pair_driver=fanin_idx[driven],
+            pair_owner=pin_owner[driven],
+            owners=owners,
+            owner_starts=fanin_ptr[owners],
+            level_pins=tuple(level_pins),
+        )
+
+
 @dataclass
 class CompiledNetlist:
     """Numpy view of a :class:`Netlist`, levelized for vectorized analyses.
@@ -148,6 +231,8 @@ class CompiledNetlist:
             cells fed only by primary inputs are level 0).
         levels: For each level, the array of instance ids at that level.
         is_seq: Boolean mask of sequential instances.
+        structure: Parameter-independent pin index arrays; views made
+            with ``dataclasses.replace`` share this one object.
         area: Per-instance area (refreshed via :meth:`refresh_cell_arrays`).
         input_cap: Per-instance single-pin input capacitance.
         drive_res: Per-instance drive resistance.
@@ -164,6 +249,7 @@ class CompiledNetlist:
     level: np.ndarray
     levels: list[np.ndarray]
     is_seq: np.ndarray
+    structure: NetlistStructure
     area: np.ndarray = field(default=None)  # type: ignore[assignment]
     input_cap: np.ndarray = field(default=None)  # type: ignore[assignment]
     drive_res: np.ndarray = field(default=None)  # type: ignore[assignment]
@@ -183,10 +269,6 @@ class CompiledNetlist:
         fanin_idx = np.empty(fanin_ptr[-1], dtype=np.int64)
         for i, inst in enumerate(netlist.instances):
             fanin_idx[fanin_ptr[i]:fanin_ptr[i + 1]] = inst.fanins
-
-        fanout_count = np.zeros(n, dtype=np.int64)
-        real = fanin_idx[fanin_idx >= 0]
-        np.add.at(fanout_count, real, 1)
 
         is_seq = np.array(
             [inst.cell.is_sequential for inst in netlist.instances],
@@ -214,14 +296,16 @@ class CompiledNetlist:
             order[bounds[lv]:bounds[lv + 1]] for lv in range(max_level + 1)
         ]
 
+        structure = NetlistStructure.build(fanin_ptr, fanin_idx, levels)
         compiled = cls(
             netlist=netlist,
             fanin_ptr=fanin_ptr,
             fanin_idx=fanin_idx,
-            fanout_count=fanout_count,
+            fanout_count=np.bincount(structure.pair_driver, minlength=n),
             level=level,
             levels=levels,
             is_seq=is_seq,
+            structure=structure,
         )
         compiled.refresh_cell_arrays()
         return compiled
@@ -246,15 +330,12 @@ class CompiledNetlist:
 
     def sink_load_cap(self) -> np.ndarray:
         """Total sink-pin capacitance on each instance's output net (fF)."""
-        load = np.zeros(self.n_cells)
-        valid = self.fanin_idx >= 0
-        # Each fanin pin of cell j adds cell j's pin cap to the driver's net.
-        pin_owner = np.repeat(
-            np.arange(self.n_cells), np.diff(self.fanin_ptr)
-        )
-        np.add.at(
-            load,
-            self.fanin_idx[valid],
-            self.input_cap[pin_owner[valid]],
-        )
-        return load
+        st = self.structure
+        # Each fanin pin of cell j adds cell j's pin cap to the driver's
+        # net.  bincount sums in pin order, so the result is exact; it
+        # returns int64 when there are no pins, hence the cast.
+        return np.bincount(
+            st.pair_driver,
+            weights=self.input_cap[st.pair_owner],
+            minlength=self.n_cells,
+        ).astype(float, copy=False)

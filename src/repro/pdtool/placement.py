@@ -132,12 +132,11 @@ def place(
     xy = np.column_stack([x, y]) * pitch_scale
 
     # Per-edge Manhattan lengths.
-    pin_owner = np.repeat(np.arange(n), np.diff(compiled.fanin_ptr))
-    drivers = compiled.fanin_idx
-    valid = drivers >= 0
-    edge_length = np.empty(len(drivers))
-    src = xy[np.clip(drivers, 0, n - 1)]
-    dst = xy[pin_owner]
+    st = compiled.structure
+    valid = st.driven
+    edge_length = np.empty(len(valid))
+    src = xy[st.driver]
+    dst = xy[st.pin_owner]
     manhattan = np.abs(src - dst).sum(axis=1)
     edge_length[valid] = manhattan[valid]
     # Primary-input edges: distance from the nearest die edge (IO ring).

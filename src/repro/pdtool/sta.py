@@ -57,35 +57,6 @@ class TimingResult:
         return self.critical_delay / 1000.0
 
 
-def _level_pins(compiled: CompiledNetlist) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per-level (pin indices, pin owner cells); cached on ``compiled``."""
-    cached = getattr(compiled, "_level_pins_cache", None)
-    if cached is not None:
-        return cached
-    out: list[tuple[np.ndarray, np.ndarray]] = []
-    for cells in compiled.levels:
-        if len(cells) == 0:
-            out.append((np.empty(0, np.int64), np.empty(0, np.int64)))
-            continue
-        counts = (
-            compiled.fanin_ptr[cells + 1] - compiled.fanin_ptr[cells]
-        )
-        total = int(counts.sum())
-        if total == 0:
-            out.append((np.empty(0, np.int64), np.empty(0, np.int64)))
-            continue
-        # Grouped arange: pins of each cell are contiguous in fanin_idx.
-        starts = np.repeat(compiled.fanin_ptr[cells], counts)
-        within = np.arange(total) - np.repeat(
-            np.cumsum(counts) - counts, counts
-        )
-        pin_idx = starts + within
-        owners = np.repeat(cells, counts)
-        out.append((pin_idx, owners))
-    compiled._level_pins_cache = out  # type: ignore[attr-defined]
-    return out
-
-
 def analyze_timing(
     compiled: CompiledNetlist,
     drv: DrvResult,
@@ -107,22 +78,20 @@ def analyze_timing(
         A :class:`TimingResult`.
     """
     n = compiled.n_cells
+    st = compiled.structure
     cell_delay = compiled.intrinsic + compiled.drive_res * drv.effective_load
     slew = SLEW_RC_FACTOR * compiled.drive_res * drv.effective_load
 
     # Per-pin edge delay: RC wire delay (Elmore: R_wire * (C_wire/2 + C_pin))
     # plus the driver's repair-buffer delay and slew degradation.
-    pin_owner = np.repeat(np.arange(n), np.diff(compiled.fanin_ptr))
-    drivers = compiled.fanin_idx
-    valid = drivers >= 0
     wire_res = WIRE_RES_PER_UM * edge_length * params.place_rcfactor
-    wire_cap_half = drv.net_wire_cap[np.clip(drivers, 0, n - 1)] / 2.0
-    pin_cap = compiled.input_cap[pin_owner]
+    wire_cap_half = drv.net_wire_cap[st.driver] / 2.0
+    pin_cap = compiled.input_cap[st.pin_owner]
     edge_delay = wire_res * (wire_cap_half + pin_cap)
-    extra = np.zeros(len(drivers))
-    extra[valid] = (
-        drv.repair_delay[drivers[valid]]
-        + _SLEW_DELAY_FACTOR * slew[drivers[valid]]
+    extra = np.zeros(len(st.driver))
+    extra[st.driven] = (
+        drv.repair_delay[st.pair_driver]
+        + _SLEW_DELAY_FACTOR * slew[st.pair_driver]
     )
     edge_delay = edge_delay + extra
 
@@ -135,25 +104,24 @@ def analyze_timing(
     comb0 = lv0[~seq[lv0]]
     arrival[comb0] = cell_delay[comb0]
 
-    level_pins = _level_pins(compiled)
-    for lv in range(1, len(compiled.levels)):
-        pin_idx, owners = level_pins[lv]
-        if len(pin_idx) == 0:
-            continue
-        drv_ids = drivers[pin_idx]
-        src = np.where(drv_ids >= 0, arrival[np.clip(drv_ids, 0, n - 1)], 0.0)
-        incoming = src + edge_delay[pin_idx]
-        data_arr = np.zeros(n)
-        np.maximum.at(data_arr, owners, incoming)
-        cells = compiled.levels[lv]
-        arrival[cells] = data_arr[cells] + cell_delay[cells]
+    # A cell's data arrival is the worst of 0 and its pins' incoming
+    # times: one reduceat per level over the owners' contiguous pin runs.
+    # Every cell above level 0 has a driven pin, so the owners are all
+    # of the level's cells.
+    for pins, starts, cells in st.level_pins[1:]:
+        src = np.where(st.driven[pins], arrival[st.driver[pins]], 0.0)
+        incoming = src + edge_delay[pins]
+        worst = np.maximum(np.maximum.reduceat(incoming, starts), 0.0)
+        arrival[cells] = worst + cell_delay[cells]
 
     # Worst data arrival at every cell (needed for sequential endpoints,
     # whose fanins can come from any level).
     data_arrival = np.zeros(n)
-    src_all = np.where(valid, arrival[np.clip(drivers, 0, n - 1)], 0.0)
+    src_all = np.where(st.driven, arrival[st.driver], 0.0)
     incoming_all = src_all + edge_delay
-    np.maximum.at(data_arrival, pin_owner, incoming_all)
+    data_arrival[st.owners] = np.maximum(
+        np.maximum.reduceat(incoming_all, st.owner_starts), 0.0
+    )
 
     endpoints = data_arrival[seq]
     if len(endpoints):

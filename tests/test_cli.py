@@ -117,6 +117,29 @@ class TestCommands:
         assert "runs=" in out
         assert "hv_error=" in out
 
+    def test_tune_knob_mismatch_is_usage_error(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        import repro.bench as bench
+
+        monkeypatch.setenv("PPATUNER_CACHE", str(tmp_path))
+        build = bench.generate_benchmark
+        monkeypatch.setattr(
+            bench, "generate_benchmark",
+            lambda name, n_points=None: build(name, n_points=60),
+        )
+        rc = main([
+            "tune", "target2", "--source", "source1", "--scale", "50",
+        ])
+        assert rc == 2
+        captured = capsys.readouterr()
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1
+        assert "target2 (9 knobs)" in lines[0]
+        assert "source1 (12 knobs)" in lines[0]
+        assert "Traceback" not in captured.err
+        assert "runs=" not in captured.out
+
     def test_generate_with_points(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("PPATUNER_CACHE", str(tmp_path))
         rc = main(["generate", "target2", "--points", "8"])
