@@ -82,7 +82,9 @@ def _run(arm: dict, *, n_pool: int, n_source: int, d: int,
     )
     tuner = PPATuner(cfg)
     start = time.perf_counter()
-    result = tuner.tune(X_pool, PoolOracle(Y_pool), X_src, Y_src)
+    result = tuner.tune(
+        X_pool, PoolOracle(Y_pool), sources=[(X_src, Y_src)]
+    )
     elapsed = time.perf_counter() - start
     return elapsed, result, tuner.calibration_.stats
 

@@ -81,7 +81,7 @@ def run_tune(n_pool: int, iters: int, policy: FaultPolicy | None):
     tuner = PPATuner(config)
     oracle = PoolOracle(Y)
     start = time.perf_counter()
-    result = tuner.tune(X, oracle, X_source=Xs, Y_source=Ys)
+    result = tuner.tune(X, oracle, sources=[(Xs, Ys)])
     return time.perf_counter() - start, result
 
 
@@ -146,7 +146,7 @@ def chaos_check(n_pool: int = 140, seed: int = 11) -> dict:
         X = space.encode_many(configs)
         rng = np.random.default_rng(pool_seed)
         Y = rng.random((n_pool, 3)) + 0.5
-        return BenchmarkDataset(name, space, configs, X, Y, "small")
+        return BenchmarkDataset(name, space, configs, X, Y, "mac_small")
 
     source = synth("chaos-src", 1)
     target = synth("chaos-tgt", 2)

@@ -37,6 +37,7 @@ memoization for the invocation.
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 
 import numpy as np
@@ -111,9 +112,25 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     else:
         oracle = PoolOracle(target.objectives(names))
 
+    tables = f"{args.target} ({target.X.shape[1]} knobs)"
     kwargs = {}
     if args.source:
         source = generate_benchmark(args.source)
+        tables += f" with source {args.source} ({source.X.shape[1]} knobs)"
+        # Transfer pairs knobs by column, so the spaces must name the
+        # same knobs in the same order.
+        columns = itertools.zip_longest(
+            target.space.names, source.space.names, fillvalue="<none>"
+        )
+        for col, (t_knob, s_knob) in enumerate(columns):
+            if t_knob != s_knob:
+                print(
+                    f"repro tune: cannot tune {tables}: knob names "
+                    f"differ from column {col} ({args.target} {t_knob!r} "
+                    f"vs {args.source} {s_knob!r})",
+                    file=sys.stderr,
+                )
+                return 2
         rng = np.random.default_rng(args.seed)
         idx = rng.choice(
             source.n, min(args.n_source, source.n), replace=False
@@ -146,9 +163,6 @@ def _cmd_tune(args: argparse.Namespace) -> int:
         # raised later comes from inside the run and is not a usage error.
         if tuner.session_ is not None:
             raise
-        tables = f"{args.target} ({target.X.shape[1]} knobs)"
-        if args.source:
-            tables += f" with source {args.source} ({source.X.shape[1]} knobs)"
         print(f"repro tune: cannot tune {tables}: {exc}", file=sys.stderr)
         return 2
     finally:
@@ -349,15 +363,9 @@ def _cmd_importance(args: argparse.Namespace) -> int:
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
-    import warnings
+    from .pdtool import design_family, write_verilog
 
-    from .pdtool import design_family, resolve_design, write_verilog
-
-    with warnings.catch_warnings():
-        # Legacy "small"/"large" stay accepted here without noise.
-        warnings.simplefilter("ignore", DeprecationWarning)
-        design = resolve_design(args.design)
-    netlist = design_family(design).netlist(design)
+    netlist = design_family(args.design).netlist(args.design)
     write_verilog(netlist, args.output)
     print(f"wrote {args.output} ({netlist.n_cells} cells, "
           f"{netlist.n_primary_inputs} inputs)")
@@ -617,8 +625,6 @@ def build_parser() -> argparse.ArgumentParser:
         "mac_small", "mac_large", "fir_small", "fir_large",
         "alu_small", "alu_large", "fabric_small", "fabric_large",
         "cpu_small", "cpu_large",
-        # Legacy aliases for the original MAC pair.
-        "small", "large",
     ))
     p.add_argument("output")
     p.set_defaults(func=_cmd_export)

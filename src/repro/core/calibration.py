@@ -200,7 +200,7 @@ class CalibrationEngine:
                 these).
         """
         cfg = self.config
-        cadence = cfg.effective_reopt_every
+        cadence = cfg.reopt_every
         reopt = cadence > 0 and (t % cadence) == 0
         fast = (
             cfg.incremental

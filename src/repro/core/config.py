@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -48,12 +48,10 @@ class PPATunerConfig:
             parameter-space span, centred on a live anchor candidate.
         max_iterations: ``T_max``.
         kernel: Base kernel family (``"rbf"`` or ``"matern52"``).
-        refit_every: Re-optimize GP hyperparameters every this many
-            iterations (posteriors are refreshed every iteration).
-        reopt_every: Hyperparameter re-optimization cadence for the
-            calibration engine; refits are warm-started from the
-            previous optimum and trigger an exact refactorization.
-            ``None`` (default) inherits ``refit_every``; ``0`` disables
+        reopt_every: Re-optimize GP hyperparameters every this many
+            iterations (posteriors are refreshed every iteration);
+            refits are warm-started from the previous optimum and
+            trigger an exact refactorization.  ``0`` disables
             re-optimization after the initial fit entirely.
         incremental: Use the incremental calibration engine — between
             re-optimizations new evaluations extend the cached Cholesky
@@ -130,8 +128,7 @@ class PPATunerConfig:
     pool_zoom: float = 0.1
     max_iterations: int = 500
     kernel: str = "rbf"
-    refit_every: int = 10
-    reopt_every: int | None = None
+    reopt_every: int = 10
     incremental: bool = True
     shared_factor: bool = True
     float32_pool: bool = False
@@ -172,9 +169,7 @@ class PPATunerConfig:
             raise ValueError("init_fraction must be in (0, 1]")
         if self.min_init < 1:
             raise ValueError("min_init must be >= 1")
-        if self.refit_every < 1:
-            raise ValueError("refit_every must be >= 1")
-        if self.reopt_every is not None and self.reopt_every < 0:
+        if self.reopt_every < 0:
             raise ValueError("reopt_every must be >= 0 (0 = never)")
         if self.pool_block < 0:
             raise ValueError("pool_block must be >= 0 (0 = unblocked)")
@@ -188,14 +183,6 @@ class PPATunerConfig:
             )
         if isinstance(self.fault_policy, dict):
             self.fault_policy = FaultPolicy.from_json(self.fault_policy)
-
-    @property
-    def effective_reopt_every(self) -> int:
-        """Re-optimization cadence: ``reopt_every`` or ``refit_every``."""
-        return (
-            self.refit_every if self.reopt_every is None
-            else self.reopt_every
-        )
 
     def to_json(self) -> dict:
         """Fully JSON-serializable dict (session snapshots, service).
@@ -219,10 +206,7 @@ class PPATunerConfig:
             "pool_zoom": float(self.pool_zoom),
             "max_iterations": int(self.max_iterations),
             "kernel": self.kernel,
-            "refit_every": int(self.refit_every),
-            "reopt_every": (
-                None if self.reopt_every is None else int(self.reopt_every)
-            ),
+            "reopt_every": int(self.reopt_every),
             "incremental": bool(self.incremental),
             "shared_factor": bool(self.shared_factor),
             "float32_pool": bool(self.float32_pool),
@@ -250,8 +234,15 @@ class PPATunerConfig:
         Unknown keys are rejected (a snapshot from a newer layout should
         fail loudly, not half-apply); ``__post_init__`` revalidates and
         revives the fault-policy dict.
+
+        Raises:
+            ValueError: On keys that are not config fields, named in
+                the message.
         """
         data = dict(payload)
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown config keys: {unknown}")
         delta = data.get("delta_rel")
         if isinstance(delta, list):
             data["delta_rel"] = np.asarray(delta, dtype=float)

@@ -32,9 +32,10 @@ stream — because ``tune`` itself is that driver.  The session's phases:
                                                        +--------+
 
 The reported front is re-filtered for mutual non-dominance on the
-*golden* values after verification: midpoint admission in ``_finalize``
-decides what is worth a verification run, but only mutually
-non-dominated golden rows are reported (the paper's δ-accurate set).
+*golden* values after verification: midpoint admission in
+``_finalize_mask`` decides what is worth a verification run, but only
+mutually non-dominated golden rows are reported (the paper's δ-accurate
+set).
 
 Sessions serialize: :meth:`TuningSession.snapshot` captures the full
 state (masks, regions, observations, RNG, fault counters, pending
@@ -85,8 +86,9 @@ __all__ = [
     "drive",
 ]
 
-#: Snapshot-format version; bump when the serialized layout changes.
-SNAPSHOT_VERSION = 1
+#: Snapshot-format version; bump when the serialized layout changes
+#: (2: the config lost ``refit_every``; ``reopt_every`` is an int).
+SNAPSHOT_VERSION = 2
 
 _PHASES = ("init", "loop", "verify", "done")
 
@@ -140,10 +142,8 @@ class TuningSession:
         config: Loop hyperparameters (see :class:`PPATunerConfig`).
         X_pool: ``(n, d)`` raw feature matrix of the target pool.
         n_objectives: QoR metric count the teller will report.
-        X_source: Single source-task features (mutually exclusive with
-            ``sources``).
-        Y_source: Single source-task golden objectives.
-        sources: Multiple ``(X_k, Y_k)`` historical archives.
+        sources: Historical archives as ``(X_k, Y_k)`` pairs (the
+            paper's ``D^S`` is one pair); omit to tune without transfer.
         init_indices: Explicit initial evaluations; sampled from the
             config seed when omitted.
         recorder: Optional :class:`~repro.obs.recorder.TraceRecorder`;
@@ -153,9 +153,9 @@ class TuningSession:
     Raises:
         ValueError: On shape mismatches (an archive whose knob count
             differs from the pool's included), NaN or inf in the pool or
-            an archive, or conflicting source arguments (same contract
-            as ``PPATuner.tune``); the message names the argument, the
-            archive index and the shapes.
+            an archive (same contract as ``PPATuner.tune``); the
+            message names the argument, the archive index and the
+            shapes.
     """
 
     def __init__(
@@ -163,8 +163,7 @@ class TuningSession:
         config: PPATunerConfig,
         X_pool: np.ndarray,
         n_objectives: int,
-        X_source: np.ndarray | None = None,
-        Y_source: np.ndarray | None = None,
+        *,
         sources: list[tuple[np.ndarray, np.ndarray]] | None = None,
         init_indices: np.ndarray | None = None,
         recorder=None,
@@ -185,27 +184,15 @@ class TuningSession:
                 f"X_pool {self.X_pool.shape} contains NaN or inf"
             )
 
-        if sources is not None and X_source is not None:
-            raise ValueError(
-                "pass either X_source/Y_source or sources, not both"
-            )
-        names = ("sources X", "sources Y")
-        if sources is None:
-            names = ("X_source", "Y_source")
-            sources = (
-                [(X_source, Y_source)]
-                if X_source is not None and Y_source is not None
-                else []
-            )
         source_list: list[tuple[np.ndarray, np.ndarray]] = []
         if cfg.transfer:
-            for k, (Xs, Ys) in enumerate(sources):
+            for k, (Xs, Ys) in enumerate(sources or []):
                 Xs = np.atleast_2d(np.asarray(Xs, dtype=float))
                 Ys = np.atleast_2d(np.asarray(Ys, dtype=float))
                 if len(Xs) == 0:
                     continue
                 where = (
-                    f"{names[0]} {Xs.shape} / {names[1]} {Ys.shape} "
+                    f"sources X {Xs.shape} / sources Y {Ys.shape} "
                     f"(archive {k})"
                 )
                 if len(Xs) != len(Ys):
@@ -220,7 +207,8 @@ class TuningSession:
                         f"source objectives mismatch oracle ({m}): {where}"
                     )
                 bad = [
-                    name for name, arr in zip(names, (Xs, Ys))
+                    f"sources {axis}"
+                    for axis, arr in (("X", Xs), ("Y", Ys))
                     if not np.isfinite(arr).all()
                 ]
                 if bad:
@@ -393,7 +381,7 @@ class TuningSession:
         (or the session is done): finishing initialization derives δ and
         builds the surrogates; entering a loop iteration calibrates,
         shrinks rectangles, applies the decision rules, and selects per
-        Eq. (13); exhausting the loop runs ``_finalize`` and queues the
+        Eq. (13); exhausting the loop runs ``_finalize_mask`` and queues the
         golden-verification set.  Idempotent while results are
         outstanding — repeated calls return the same not-yet-told
         indices (a buffered out-of-order tell is not re-asked).
@@ -744,10 +732,9 @@ class TuningSession:
     def _continue_iteration(self) -> None:
         """Post-batch: fall through past failures or end the iteration.
 
-        Mirrors ``select_with_fallback``: while the batch target is
-        unmet and the previous pass was not short, select again (the
-        fallback past quarantined candidates); otherwise close out the
-        iteration.
+        While the batch target is unmet and the previous pass was not
+        short, select again (the fallback past quarantined candidates);
+        otherwise close out the iteration.
         """
         want = self._round_size()
         if (
@@ -916,8 +903,8 @@ class TuningSession:
             np.vstack(self._verify_rows)
             if self._verify_rows else np.empty((0, self.m))
         )
-        # Midpoint admission in ``_finalize`` selects what is *worth a
-        # verification run*; the reported set must additionally be
+        # Midpoint admission in ``_finalize_mask`` selects what is *worth
+        # a verification run*; the reported set must additionally be
         # mutually non-dominated in the golden values now in hand —
         # without this filter, dominated points leak into the verified
         # front whenever a region midpoint undersold its true QoR.

@@ -30,7 +30,6 @@ which the run replays exactly.
 
 from __future__ import annotations
 
-import warnings
 from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
 import numpy as np
@@ -39,30 +38,12 @@ from ..obs.recorder import NULL_RECORDER
 from .calibration import CalibrationEngine
 from .config import PPATunerConfig
 from .result import TuningResult
-from .session import TuningSession, _finalize_mask, drive
-from .uncertainty import UncertaintyRegions
+from .session import TuningSession, drive
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..gp.multisource import MultiSourceTransferGP
     from ..gp.transfer_gp import TransferGP
     from .oracle import Oracle
-
-
-def __getattr__(name: str):
-    # ``repro.core.tuner.Oracle`` used to be a concrete union alias
-    # (PoolOracle | FlowOracle); the contract now lives in
-    # ``repro.core.oracle.Oracle`` as a structural protocol.
-    if name == "Oracle":
-        warnings.warn(
-            "importing Oracle from repro.core.tuner is deprecated; "
-            "use repro.core.oracle.Oracle (a typing.Protocol)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from .oracle import Oracle
-
-        return Oracle
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @runtime_checkable
@@ -98,7 +79,9 @@ class PPATuner:
 
     Example:
         >>> tuner = PPATuner(PPATunerConfig(max_iterations=100))
-        >>> result = tuner.tune(X_pool, oracle, X_src, Y_src)  # doctest: +SKIP
+        >>> result = tuner.tune(
+        ...     X_pool, oracle, sources=[(X_src, Y_src)]
+        ... )  # doctest: +SKIP
     """
 
     #: Method name under the :class:`Tuner` protocol (matches the
@@ -128,10 +111,9 @@ class PPATuner:
         self,
         X_pool: np.ndarray,
         oracle: "Oracle",
-        X_source: np.ndarray | None = None,
-        Y_source: np.ndarray | None = None,
-        init_indices: np.ndarray | None = None,
+        *,
         sources: list[tuple[np.ndarray, np.ndarray]] | None = None,
+        init_indices: np.ndarray | None = None,
     ) -> TuningResult:
         """Run Algorithm 1 over the candidate pool.
 
@@ -141,24 +123,21 @@ class PPATuner:
             oracle: Evaluation oracle over the same pool (row order must
                 match); anything satisfying the
                 :class:`~repro.core.oracle.Oracle` protocol.
-            X_source: ``(N, d)`` source-task features (the historical
-                dataset ``D^S``); omit to tune without transfer.
-            Y_source: ``(N, m)`` source-task golden objectives.
+            sources: Historical tasks as ``(X_k, Y_k)`` pairs of
+                ``(N_k, d)`` features and ``(N_k, m)`` golden
+                objectives; the paper's dataset ``D^S`` is one pair.
+                More than one is an extension beyond the paper: the
+                surrogates are then :class:`MultiSourceTransferGP`
+                models that learn a per-archive similarity.  Omit to
+                tune without transfer.
             init_indices: Explicit initial target evaluations ``D^T``;
                 sampled randomly per the config when omitted.
-            sources: Multiple historical tasks as ``(X_k, Y_k)`` pairs —
-                an extension beyond the paper's single source; when more
-                than one is given, the surrogates are
-                :class:`MultiSourceTransferGP` models that learn a
-                per-archive similarity.  Mutually exclusive with
-                ``X_source``/``Y_source``.
 
         Returns:
             A :class:`TuningResult`.
 
         Raises:
-            ValueError: On shape mismatches or conflicting source
-                arguments.
+            ValueError: On shape mismatches or NaN/inf inputs.
         """
         rec = self.recorder
         # If the oracle has no recorder of its own, adopt it into this
@@ -172,9 +151,7 @@ class PPATuner:
         if adopted:
             oracle.recorder = rec
         try:
-            return self._tune(
-                X_pool, oracle, X_source, Y_source, init_indices, sources
-            )
+            return self._tune(X_pool, oracle, sources, init_indices)
         finally:
             if adopted:
                 # Restore the caller's exact attribute value — it may
@@ -186,10 +163,8 @@ class PPATuner:
         self,
         X_pool: np.ndarray,
         oracle: "Oracle",
-        X_source: np.ndarray | None,
-        Y_source: np.ndarray | None,
-        init_indices: np.ndarray | None,
         sources: list[tuple[np.ndarray, np.ndarray]] | None,
+        init_indices: np.ndarray | None,
     ) -> TuningResult:
         cfg = self.config
         rec = self.recorder
@@ -213,8 +188,6 @@ class PPATuner:
             cfg,
             X_pool,
             oracle.n_objectives,
-            X_source=X_source,
-            Y_source=Y_source,
             sources=sources,
             init_indices=init_indices,
             recorder=rec,
@@ -227,21 +200,3 @@ class PPATuner:
             # or not the drive completed (telemetry reads them).
             self.models_ = session.models
             self.calibration_ = session.engine
-
-    @staticmethod
-    def _finalize(
-        regions: UncertaintyRegions,
-        dropped: np.ndarray,
-        pareto: np.ndarray,
-        y_obs: np.ndarray,
-        sampled: np.ndarray,
-        quarantined: np.ndarray,
-    ) -> np.ndarray:
-        """Final Pareto mask over the pool (verification admission).
-
-        Delegates to the session-layer implementation; kept as a method
-        for API continuity.
-        """
-        return _finalize_mask(
-            regions, dropped, pareto, y_obs, sampled, quarantined
-        )

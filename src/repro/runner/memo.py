@@ -45,8 +45,9 @@ except ImportError:  # pragma: no cover - non-POSIX platform
 log = logging.getLogger(__name__)
 
 #: Memo-format version; bump when the serialized layout changes or when
-#: default-config results move (2: the GP likelihood fit's numerics).
-MEMO_VERSION = 2
+#: default-config results move (2: the GP likelihood fit's numerics;
+#: 3: config fingerprints lost ``refit_every`` and hash ``warm_start``).
+MEMO_VERSION = 3
 
 #: Prefix of in-flight atomic-write temp files.
 _TMP_PREFIX = ".tmp-"

@@ -90,19 +90,15 @@ class ServiceClient:
         X_pool: np.ndarray,
         n_objectives: int,
         session_id: str | None = None,
-        X_source: np.ndarray | None = None,
-        Y_source: np.ndarray | None = None,
         sources: list[tuple[np.ndarray, np.ndarray]] | None = None,
         init_indices: np.ndarray | None = None,
         max_evaluations: int | None = None,
-        warm_start: str | None = None,
         trace: bool = False,
     ) -> str:
         """Create a server-side session; returns its id.
 
-        ``warm_start`` (``"random"``/``"copula"``) overrides the
-        config's initialization mode — the cold-start path for a new
-        session created with source archives but little target data.
+        ``sources`` are the historical ``(X_k, Y_k)`` archives; the
+        initialization mode travels in ``config.warm_start``.
         """
         if isinstance(config, PPATunerConfig):
             config = config.to_json()
@@ -114,14 +110,6 @@ class ServiceClient:
         }
         if session_id is not None:
             payload["session_id"] = session_id
-        if X_source is not None:
-            payload["X_source"] = np.asarray(
-                X_source, dtype=float
-            ).tolist()
-        if Y_source is not None:
-            payload["Y_source"] = np.asarray(
-                Y_source, dtype=float
-            ).tolist()
         if sources is not None:
             payload["sources"] = [
                 [
@@ -134,8 +122,6 @@ class ServiceClient:
             payload["init_indices"] = [int(i) for i in init_indices]
         if max_evaluations is not None:
             payload["max_evaluations"] = int(max_evaluations)
-        if warm_start is not None:
-            payload["warm_start"] = str(warm_start)
         return self._request("POST", "/sessions", payload)["session_id"]
 
     def ask(self, session_id: str) -> dict:
@@ -260,10 +246,9 @@ class RemoteTuner:
         self,
         X_pool: np.ndarray,
         oracle,
-        X_source: np.ndarray | None = None,
-        Y_source: np.ndarray | None = None,
-        init_indices: np.ndarray | None = None,
+        *,
         sources: list[tuple[np.ndarray, np.ndarray]] | None = None,
+        init_indices: np.ndarray | None = None,
     ) -> TuningResult:
         """Run one remote session to completion (same surface as
         :meth:`PPATuner.tune`)."""
@@ -312,8 +297,7 @@ class RemoteTuner:
         try:
             sid = self.client.create_session(
                 cfg, X_pool, oracle.n_objectives,
-                X_source=X_source, Y_source=Y_source, sources=sources,
-                init_indices=init_indices,
+                sources=sources, init_indices=init_indices,
                 max_evaluations=self.max_evaluations, trace=self.trace,
             )
             self.session_id = sid

@@ -34,7 +34,6 @@ trace events their oracle emits (tool evaluations, retries) with each
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import logging
 import threading
@@ -53,6 +52,12 @@ from .store import SessionStore, validate_session_id
 __all__ = ["TuningService", "TuningServiceHTTP", "serve"]
 
 log = logging.getLogger(__name__)
+
+#: Keys a ``POST /sessions`` payload may carry.
+_CREATE_KEYS = frozenset({
+    "session_id", "config", "X_pool", "n_objectives", "sources",
+    "init_indices", "max_evaluations", "trace",
+})
 
 
 class _Managed:
@@ -142,16 +147,21 @@ class TuningService:
 
         Payload keys: ``session_id`` (optional; generated otherwise),
         ``config`` (a :meth:`PPATunerConfig.to_json` dict), ``X_pool``,
-        ``n_objectives``, optional ``X_source``/``Y_source`` or
-        ``sources``, ``init_indices``, ``max_evaluations`` (loop-phase
-        tool-run budget), ``warm_start`` (``"random"``/``"copula"``;
-        overrides the config so a cold-starting client can request
-        copula-seeded initialization without rebuilding its config) and
-        ``trace`` (record a server-side JSONL trace).
+        ``n_objectives``, optional ``sources`` (``[[X_k, Y_k], ...]``),
+        ``init_indices``, ``max_evaluations`` (loop-phase tool-run
+        budget) and ``trace`` (record a server-side JSONL trace).
 
         Returns:
             ``{"session_id": ..., "status": {...}}``.
+
+        Raises:
+            ValueError: On a payload or config key outside these, named
+                in the message (HTTP 400) — a misspelled key must not
+                silently drop its data.
         """
+        unknown = sorted(set(payload) - _CREATE_KEYS)
+        if unknown:
+            raise ValueError(f"unknown session payload keys: {unknown}")
         sid = payload.get("session_id")
         if sid is None:
             with self._registry_lock:
@@ -168,11 +178,6 @@ class TuningService:
             cfg_payload if isinstance(cfg_payload, PPATunerConfig)
             else PPATunerConfig.from_json(cfg_payload)
         )
-        warm_start = payload.get("warm_start")
-        if warm_start is not None:
-            config = dataclasses.replace(
-                config, warm_start=str(warm_start)
-            )
         X_pool = np.asarray(payload["X_pool"], dtype=float)
         n_objectives = int(payload["n_objectives"])
         sources = payload.get("sources")
@@ -184,8 +189,6 @@ class TuningService:
                 )
                 for Xs, Ys in sources
             ]
-        X_source = payload.get("X_source")
-        Y_source = payload.get("Y_source")
         init_indices = payload.get("init_indices")
         traced = bool(payload.get("trace"))
         sink = JsonlSink(self.store.trace_path(sid)) if traced else None
@@ -194,14 +197,6 @@ class TuningService:
             config,
             X_pool,
             n_objectives,
-            X_source=(
-                np.asarray(X_source, dtype=float)
-                if X_source is not None else None
-            ),
-            Y_source=(
-                np.asarray(Y_source, dtype=float)
-                if Y_source is not None else None
-            ),
             sources=sources,
             init_indices=(
                 np.asarray(init_indices, dtype=int)

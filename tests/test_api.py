@@ -71,16 +71,9 @@ class TestOracleProtocol:
         oracle = _DuckOracle(Y)
         result = PPATuner(
             PPATunerConfig(max_iterations=4, seed=0)
-        ).tune(X, oracle, X_source=Xs, Y_source=Ys)
+        ).tune(X, oracle, sources=[(Xs, Ys)])
         assert len(result.pareto_indices) > 0
         assert oracle.n_evaluations > 0
-
-    def test_deep_import_shim_warns(self):
-        import repro.core.tuner as tuner_mod
-
-        with pytest.warns(DeprecationWarning, match="repro.core.oracle"):
-            shimmed = tuner_mod.Oracle
-        assert shimmed is Oracle
 
 
 class TestFlowOracleSemantics:

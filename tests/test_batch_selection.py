@@ -22,6 +22,7 @@ import pytest
 
 from repro.core import (
     CallableOracle,
+    EvaluationFailure,
     PoolOracle,
     PPATunerConfig,
     TuningSession,
@@ -29,7 +30,6 @@ from repro.core import (
     select_batch,
     select_next,
 )
-from repro.core.selection import select_with_fallback
 from repro.core.uncertainty import UncertaintyRegions
 from repro.obs import MemorySink, TraceRecorder
 from repro.obs.events import BatchSelected, PoolRefined, SelectionMade
@@ -128,16 +128,30 @@ class TestSelectBatch:
         assert bat.scores[0] == pytest.approx(bat.diameters[0])
 
     def test_fallback_respects_quarantine_mask(self):
-        regions = self._regions()
-        eligible = np.ones(4, dtype=bool)
-        quarantined = np.zeros(4, dtype=bool)
-        quarantined[0] = True  # failed permanently in an earlier batch
-        evaluated, failed = select_with_fallback(
-            regions, eligible, 2, lambda i: True,
-            quarantined=quarantined,
-        )
-        assert 0 not in evaluated and 0 not in failed
-        assert evaluated == [1, 2]
+        # A permanent failure mid-round quarantines the candidate; the
+        # session's fallback selects past it and never proposes it again.
+        X, Y = random_pool(4)
+        cfg = PPATunerConfig(max_iterations=8, seed=4, batch_size=2)
+        s = TuningSession(cfg, X, Y.shape[1])
+        failed, fail_iteration = None, -1
+        asked_after: list[int] = []
+        refills = 0
+        while not s.done:
+            batch = s.ask()
+            if failed is not None and s.iteration == fail_iteration:
+                refills += len(batch)
+            for idx in batch:
+                if failed is None and s.phase == "loop":
+                    failed, fail_iteration = idx, s.iteration
+                    s.tell(idx, failure=EvaluationFailure("ToolCrash", 1))
+                    continue
+                if failed is not None:
+                    asked_after.append(idx)
+                s.tell(idx, Y[idx])
+        assert failed is not None and s.quarantined[failed]
+        assert failed not in asked_after
+        # The round re-selected one candidate to reach two successes.
+        assert refills == 1
 
 
 # ---------------------------------------------------------------------------

@@ -101,7 +101,7 @@ class TestParser:
 class TestCommands:
     def test_export_writes_verilog(self, tmp_path, capsys):
         out = tmp_path / "design.v"
-        rc = main(["export", "small", str(out)])
+        rc = main(["export", "mac_small", str(out)])
         assert rc == 0
         assert out.exists()
         assert "module mac_small" in out.read_text()
@@ -138,6 +138,31 @@ class TestCommands:
         assert "target2 (9 knobs)" in lines[0]
         assert "source1 (12 knobs)" in lines[0]
         assert "Traceback" not in captured.err
+        assert "runs=" not in captured.out
+
+    def test_tune_knob_name_mismatch_is_usage_error(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # target2 and cpu1 both have 9 knobs, under different names.
+        import repro.bench as bench
+
+        monkeypatch.setenv("PPATUNER_CACHE", str(tmp_path))
+        build = bench.generate_benchmark
+        monkeypatch.setattr(
+            bench, "generate_benchmark",
+            lambda name, n_points=None: build(name, n_points=60),
+        )
+        rc = main([
+            "tune", "target2", "--source", "cpu1", "--scale", "50",
+        ])
+        assert rc == 2
+        captured = capsys.readouterr()
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1
+        assert "target2 (9 knobs)" in lines[0]
+        assert "cpu1 (9 knobs)" in lines[0]
+        assert "column 0" in lines[0]
+        assert "'place_rcfactor'" in lines[0] and "'freq'" in lines[0]
         assert "runs=" not in captured.out
 
     def test_generate_with_points(self, capsys, tmp_path, monkeypatch):

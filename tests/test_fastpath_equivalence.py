@@ -432,7 +432,7 @@ class TestSharedFactor:
                 shared_factor=shared,
             )
             tuner = PPATuner(cfg)
-            result = tuner.tune(X, PoolOracle(Y), Xs, Ys)
+            result = tuner.tune(X, PoolOracle(Y), sources=[(Xs, Ys)])
             return tuner, result
 
         tuner_s, res_s = run(True)
@@ -629,7 +629,7 @@ class TestTraceStreamUnchanged:
             cfg = PPATunerConfig(max_iterations=25, seed=3, **kw)
             PPATuner(
                 cfg, recorder=TraceRecorder(sinks=[sink])
-            ).tune(X, PoolOracle(Y), Xs, Ys)
+            ).tune(X, PoolOracle(Y), sources=[(Xs, Ys)])
             return _stripped(sink)
 
         default_stream = run()

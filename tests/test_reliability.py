@@ -523,7 +523,7 @@ def tuned(Y_pool, synthetic_pool, *, plan=None, policy=..., recorder=None,
              else PPATuner(cfg, recorder=recorder))
     init = np.array([3, 10, 20, 30, 40])
     return tuner.tune(
-        X, oracle, X_source=Xs, Y_source=Ys, init_indices=init.copy()
+        X, oracle, sources=[(Xs, Ys)], init_indices=init.copy()
     )
 
 
@@ -855,7 +855,7 @@ X = space.encode_many(configs)
 
 def dataset(name, seed):
     Y = np.random.default_rng(seed).random((40, 3)) + 0.5
-    return BenchmarkDataset(name, space, configs, X, Y, "small")
+    return BenchmarkDataset(name, space, configs, X, Y, "mac_small")
 
 jobs = build_scenario_jobs(
     dataset("chaos-src", 1), dataset("chaos-tgt", 2), "chaos", "target2",

@@ -124,6 +124,20 @@ class TestMemo:
         assert memo.load(record.spec) is None
         assert not path.exists()
 
+    def test_older_memo_version_reexecutes(
+        self, tmp_path, tiny_benchmark, monkeypatch
+    ):
+        import repro.runner.memo as memo_mod
+
+        memo = RunMemo(tmp_path)
+        record = self.make_record(tiny_benchmark)
+        current = memo_mod.MEMO_VERSION
+        monkeypatch.setattr(memo_mod, "MEMO_VERSION", current - 1)
+        memo.save(record)
+        monkeypatch.setattr(memo_mod, "MEMO_VERSION", current)
+        assert memo.load(record.spec) is None
+        assert not (tmp_path / memo.entry_name(record.spec)).exists()
+
     def test_invalidate(self, tmp_path, tiny_benchmark):
         memo = RunMemo(tmp_path)
         record = self.make_record(tiny_benchmark)

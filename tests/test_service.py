@@ -243,6 +243,28 @@ class TestProtocolErrors:
             client.status(sid)
         assert exc.value.status == 404
 
+    def test_unknown_payload_key_is_400(self, http):
+        # A removed spelling must fail loudly, not run without transfer.
+        _, client = http
+        X, Y = random_pool(0)
+        payload = {
+            "config": PPATunerConfig(max_iterations=5).to_json(),
+            "X_pool": X.tolist(),
+            "n_objectives": Y.shape[1],
+            "X_source": X[:5].tolist(),
+        }
+        with pytest.raises(ServiceError, match="X_source") as exc:
+            client._request("POST", "/sessions", payload)
+        assert exc.value.status == 400
+
+    def test_unknown_config_key_is_400(self, http):
+        _, client = http
+        X, Y = random_pool(0)
+        config = {**PPATunerConfig().to_json(), "refit_every": 10}
+        with pytest.raises(ServiceError, match="refit_every") as exc:
+            client.create_session(config, X, Y.shape[1])
+        assert exc.value.status == 400
+
     def test_malformed_json_is_400(self, http):
         server, _ = http
         import urllib.error

@@ -447,6 +447,18 @@ class TestSnapshotResume:
         with pytest.raises(ValueError, match="fingerprint"):
             TuningSession.restore(snap)
 
+    def test_version_one_snapshot_rejected(self):
+        # A version-1 snapshot carries ``refit_every`` in its config; the
+        # version check refuses it before the config is parsed.
+        X, Y = random_pool(3)
+        snap = TuningSession(
+            PPATunerConfig(max_iterations=15, seed=3), X, Y.shape[1]
+        ).snapshot()
+        snap["meta"]["version"] = 1
+        snap["meta"]["config"]["refit_every"] = 10
+        with pytest.raises(ValueError, match="snapshot version 1 != 2"):
+            TuningSession.restore(snap)
+
 
 # ---------------------------------------------------------------------------
 # JSON round-trips
@@ -473,7 +485,7 @@ class TestJsonRoundTrips:
         assert np.allclose(got.delta_rel, cfg.delta_rel)
 
     def test_config_rejects_unknown_keys(self):
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError, match=r"unknown config.*not_a_field"):
             PPATunerConfig.from_json({"not_a_field": 1})
 
     def test_result_roundtrip(self):
@@ -562,8 +574,8 @@ def _poisoned(case: str):
             r"NaN or inf in sources X:.*\(10, 3\).*\(archive 0\)"
         )
     Ys[3, 1] = np.nan
-    return {"X_pool": X, "X_source": Xs, "Y_source": Ys}, (
-        r"NaN or inf in Y_source:.*Y_source \(10, 2\) \(archive 0\)"
+    return {"X_pool": X, "sources": [(Xs, Ys)]}, (
+        r"NaN or inf in sources Y:.*sources Y \(10, 2\) \(archive 0\)"
     )
 
 

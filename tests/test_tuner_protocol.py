@@ -1,11 +1,12 @@
-"""Tests for the unified ``Tuner`` protocol, the deprecation shims on
-the old ``X_source``/``Y_source`` spelling, the method registry, and the
-``warm_start`` config surface (bit-identity of the random path,
-fingerprint/memo stability, snapshot round trips).
+"""Tests for the unified ``Tuner`` protocol (``sources=`` is the only
+source spelling; the removed ``X_source``/``Y_source`` pair is
+rejected), the method registry, and the ``warm_start`` config surface
+(bit-identity of the random path, fingerprints, snapshot round trips).
 """
 
 from __future__ import annotations
 
+import inspect
 import warnings
 
 import numpy as np
@@ -39,8 +40,6 @@ BASELINES = [
     RandomSearchTuner,
     CopulaTransferTuner,
 ]
-
-TRANSFER_BASELINES = [Dac19Recommender, Aspdac20Fist, CopulaTransferTuner]
 
 
 def _stripped(sink: MemorySink) -> list[dict]:
@@ -85,6 +84,21 @@ class TestTunerProtocol:
 
         assert not isinstance(NotATuner(), Tuner)
 
+    @pytest.mark.parametrize("method", ("RemoteTuner",) + ALL_METHODS)
+    def test_tune_signature(self, method):
+        if method == "RemoteTuner":
+            tuner = RemoteTuner(ServiceClient("http://localhost:1"))
+        else:
+            tuner = make_method(method, budget=20, pool_size=100, seed=0)
+        params = inspect.signature(tuner.tune).parameters
+        for name in ("sources", "init_indices"):
+            assert params[name].kind is inspect.Parameter.KEYWORD_ONLY
+            assert params[name].default is None
+        assert not {"X_source", "Y_source"} & set(params)
+        assert not any(
+            p.kind is inspect.Parameter.VAR_KEYWORD for p in params.values()
+        )
+
     @pytest.mark.parametrize("cls", BASELINES)
     def test_unified_kwargs_accepted(self, cls, synthetic_pool):
         X, Y, Xs, Ys = synthetic_pool
@@ -95,42 +109,25 @@ class TestTunerProtocol:
 
 
 # ---------------------------------------------------------------------------
-# Deprecated X_source/Y_source spelling
+# The removed X_source/Y_source spelling
 # ---------------------------------------------------------------------------
 
 
 class TestDeprecatedSourceKwargs:
-    @pytest.mark.parametrize("cls", TRANSFER_BASELINES)
-    def test_old_spelling_warns_and_matches(self, cls, synthetic_pool):
-        X, Y, Xs, Ys = synthetic_pool
-        new = cls(budget=15, seed=0).tune(
-            X, PoolOracle(Y), sources=[(Xs, Ys)]
-        )
-        with pytest.warns(DeprecationWarning, match="X_source/Y_source"):
-            old = cls(budget=15, seed=0).tune(
-                X, PoolOracle(Y), X_source=Xs, Y_source=Ys
-            )
-        assert np.array_equal(new.evaluated_indices, old.evaluated_indices)
-        assert np.array_equal(new.pareto_indices, old.pareto_indices)
-
     def test_both_spellings_rejected(self, synthetic_pool):
         X, Y, Xs, Ys = synthetic_pool
-        with pytest.raises(ValueError, match="not both"):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                Dac19Recommender(budget=10).tune(
-                    X, PoolOracle(Y),
-                    X_source=Xs, Y_source=Ys, sources=[(Xs, Ys)],
-                )
+        with pytest.raises(TypeError, match="X_source"):
+            Dac19Recommender(budget=10).tune(
+                X, PoolOracle(Y),
+                X_source=Xs, Y_source=Ys, sources=[(Xs, Ys)],
+            )
 
     def test_half_a_pair_rejected(self, synthetic_pool):
         X, Y, Xs, Ys = synthetic_pool
-        with pytest.raises(ValueError):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                Dac19Recommender(budget=10).tune(
-                    X, PoolOracle(Y), X_source=Xs
-                )
+        with pytest.raises(TypeError, match="X_source"):
+            Dac19Recommender(budget=10).tune(
+                X, PoolOracle(Y), X_source=Xs
+            )
 
     def test_new_spelling_is_warning_free(self, synthetic_pool, recwarn):
         X, Y, Xs, Ys = synthetic_pool
@@ -237,8 +234,8 @@ class TestWarmStartConfig:
         assert PPATunerConfig.from_json(payload).warm_start == "random"
 
     def test_fingerprint_drops_default_spelling(self):
-        # Explicit-but-default warm_start must hash like a config from
-        # before the field existed, so old memo entries stay valid.
+        # Explicit-but-default warm_start hashes like the default
+        # config; the copula option is a different memo key.
         assert config_fingerprint(PPATunerConfig()) == config_fingerprint(
             PPATunerConfig(warm_start="random")
         )
